@@ -22,11 +22,14 @@ Three phases per (size, method):
   statement against the already-loaded replica (statement cache hit, no
   data shipping), the honest per-execution cost of the pushed-down SQL.
 
-All methods must return identical answers at every size.  Results are
-written to ``BENCH_sqlite.json`` at the repository root, including an
-``acceptance`` block checking the issue's gate: pushed-down warm
-re-query latency at the largest size ≤ the planned in-memory path at
-2k rows.
+All methods must return identical answers at every size.  A second
+query, the 4-atom self-join ``SELF_JOIN_QUERY``, runs on the planned and
+sqlite executors only (the naive evaluator runs out of memory on it at
+20k rows).  Results are written to ``BENCH_sqlite.json`` at the
+repository root, including an ``acceptance`` block with two gates:
+pushed-down warm re-query latency at the largest size ≤ the planned
+in-memory path at 2k rows, and the pushed self-join, cold, within
+``SELF_JOIN_FACTOR`` of the planned one at its largest size.
 
 Usage::
 
@@ -67,6 +70,11 @@ exists teaches^- isa Course
 """
 
 QUERY = "q(x) :- Teacher(x), teaches(x, y)"
+SELF_JOIN_QUERY = "q(x) :- Professor(x), teaches(x, c), teaches(y, c), Lecturer(y)"
+
+#: The pushed self-join may be at most this many times slower, cold,
+#: than the planned in-memory path.
+SELF_JOIN_FACTOR = 2.0
 
 #: The planned in-memory reference size of the acceptance gate.
 REFERENCE_ROWS = 2000
@@ -129,9 +137,9 @@ def _timed(callable_, rounds: int, warmup: int = 1):
     }, result
 
 
-def _bench_method(system, method: str, rounds: int):
+def _bench_method(system, method: str, rounds: int, text: str = QUERY):
     """cold + warm_requery timings (and the answers) for one executor."""
-    query = parse_query(QUERY)
+    query = parse_query(text)
 
     def cold():
         system.invalidate_caches()
@@ -247,6 +255,51 @@ def run(sizes, naive_cap: int, rounds: int) -> dict:
     }
 
 
+def run_self_join(sizes, rounds: int) -> dict:
+    """The 4-atom self-join on the planned and sqlite executors."""
+    entries = []
+    cold_s = {}
+    for rows in sizes:
+        reference_answers = None
+        for label, method in (("planned", "perfectref-sql"), ("sqlite", "perfectref-sqlite")):
+            system = university_system(rows)
+            cold, warm, answers = _bench_method(system, method, rounds, SELF_JOIN_QUERY)
+            if reference_answers is None:
+                reference_answers = answers
+            assert answers == reference_answers, f"self-join: {label} diverged at {rows} rows"
+            cold_s[label, rows] = cold["mean_s"]
+            for phase, stats in (("cold", cold), ("warm_requery", warm)):
+                entries.append(
+                    {
+                        "name": f"selfjoin-{label}-{rows}-{phase}",
+                        "query": SELF_JOIN_QUERY,
+                        "method": method,
+                        "executor": label,
+                        "rows": rows,
+                        "phase": phase,
+                        "answers": len(answers),
+                        **stats,
+                    }
+                )
+            print(
+                f"  self-join {label:>7} @ {rows:>7} rows: "
+                f"cold {cold['mean_s'] * 1000:8.2f}ms  ({len(answers)} answers)",
+                flush=True,
+            )
+    largest = max(sizes)
+    pushed, planned = cold_s["sqlite", largest], cold_s["planned", largest]
+    return {
+        "entries": entries,
+        "gate": {
+            "rows": largest,
+            "pushed_cold_s": pushed,
+            "planned_cold_s": planned,
+            "factor": SELF_JOIN_FACTOR,
+            "ok": pushed <= SELF_JOIN_FACTOR * planned,
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -262,10 +315,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.smoke:
         sizes, naive_cap, rounds = [500, REFERENCE_ROWS], REFERENCE_ROWS, 3
+        self_join_sizes = [500, REFERENCE_ROWS]
     else:
         sizes, naive_cap, rounds = [REFERENCE_ROWS, 20000, 100000], 20000, 5
+        self_join_sizes = [REFERENCE_ROWS, 20000]
     print(f"bench_sqlite_pushdown: sizes {sizes}, {rounds} round(s) per phase")
     report = run(sizes, naive_cap, rounds)
+    self_join = run_self_join(self_join_sizes, rounds)
+    report["benchmarks"].extend(self_join["entries"])
+    report["acceptance"]["self_join_gap"] = self_join["gate"]
     Path(args.output).write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"wrote {args.output}")
     gap = report["acceptance"]["pushdown_gap"]
@@ -276,7 +334,14 @@ def main(argv=None) -> int:
         f"{(gap['planned_reference_s'] or 0) * 1000:.2f}ms -> "
         f"{'OK' if gap['ok'] else 'FAIL'}"
     )
-    return 0 if gap["ok"] else 1
+    join_gap = report["acceptance"]["self_join_gap"]
+    print(
+        f"self-join gap at {join_gap['rows']} rows: pushed cold "
+        f"{join_gap['pushed_cold_s'] * 1000:.2f}ms, planned cold "
+        f"{join_gap['planned_cold_s'] * 1000:.2f}ms (limit {SELF_JOIN_FACTOR:g}x) -> "
+        f"{'OK' if join_gap['ok'] else 'FAIL'}"
+    )
+    return 0 if gap["ok"] and join_gap["ok"] else 1
 
 
 if __name__ == "__main__":

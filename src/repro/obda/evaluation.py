@@ -13,7 +13,10 @@ A UCQ produced by a rewriter is evaluated against *extent providers*:
 
 Conjunctive queries are evaluated by a backtracking join that orders
 atoms greedily by current extent size and probes each later atom through
-a **per-argument-position hash index**.  Indexes are built lazily and
+a **per-argument-position hash index** keyed on
+:func:`~repro.obda.sql.stats.cell_key` — the string form that names
+individuals, so a query constant ``"person/1"`` meets the individual
+``person/1`` in its one bucket.  Indexes are built lazily and
 cached *on the provider* (keyed by predicate and key positions), so
 repeated and structurally similar queries share index-construction work
 instead of re-hashing full extents per query.  Index construction polls
@@ -24,7 +27,7 @@ leaves a partial index behind.
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..dllite.abox import ABox
 from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
@@ -34,6 +37,7 @@ from ..runtime.budget import Budget
 from .mapping import MappingCollection
 from .queries import Atom, Constant, ConjunctiveQuery, UnionQuery, Variable
 from .sql.database import Database
+from .sql.stats import cell_key, join_key
 
 __all__ = [
     "ExtentProvider",
@@ -98,7 +102,8 @@ class ExtentProvider:
         positions: Tuple[int, ...],
         budget: Optional[Budget] = None,
     ) -> Dict[Tuple, List[Tuple]]:
-        """Rows of *predicate* hashed by the values at *positions*.
+        """Rows of *predicate* hashed by the :func:`join_key` of the
+        values at *positions*.
 
         ``positions == ()`` degenerates to one bucket holding the whole
         extent (the leading atom of a join plan).  The index is built
@@ -126,7 +131,9 @@ class ExtentProvider:
             for row in rows:
                 if budget is not None:
                     budget.tick()
-                index.setdefault(tuple(row[i] for i in positions), []).append(row)
+                index.setdefault(join_key([row[i] for i in positions]), []).append(
+                    row
+                )
             span.annotate(
                 predicate=predicate, positions=list(positions), rows=len(rows)
             )
@@ -340,39 +347,36 @@ def evaluate_cq(
         ordered.append(best)
         bound_vars |= best[0].variables()
 
-    # For each atom: which argument positions are keys (constant, repeated
-    # variable, or variable bound by an earlier atom) — fixed per ordering.
+    # Per atom, fixed by the ordering: the probe key (constants keyed
+    # once here, or variables bound by an earlier atom), the positions
+    # that bind fresh variables, and within-atom repeats of those.
     plans = []
     seen_vars: Set[Variable] = set()
     for atom, _rows in ordered:
         key_positions: List[int] = []
-        key_terms: List = []
+        probe: List[Tuple[bool, object]] = []
+        binds: List[Tuple[int, Variable]] = []
+        repeats: List[Tuple[int, int]] = []
+        first: Dict[Variable, int] = {}
         for position, term in enumerate(atom.args):
             if isinstance(term, Constant):
                 key_positions.append(position)
-                key_terms.append(term)
+                probe.append((True, cell_key(term.value)))
             elif term in seen_vars:
                 key_positions.append(position)
-                key_terms.append(term)
-            # else: first (or repeated within-atom) occurrence of a fresh
-            # variable — bound by this atom itself; within-atom repeats
-            # are enforced by the binding check in the join loop.
+                probe.append((False, term))
+            elif term in first:
+                repeats.append((position, first[term]))
+            else:
+                first[term] = position
+                binds.append((position, term))
         index = extents.index(
             atom.predicate, atom.arity, tuple(key_positions), budget=budget
         )
-        plans.append((atom, tuple(key_positions), tuple(key_terms), index))
+        plans.append((tuple(probe), tuple(binds), tuple(repeats), index))
         seen_vars |= atom.variables()
 
     answers: Set[Tuple] = set()
-
-    def probe_key(key_terms, binding) -> Optional[Tuple]:
-        key = []
-        for term in key_terms:
-            if isinstance(term, Constant):
-                key.append(term.value)
-            else:
-                key.append(binding[term])
-        return tuple(key)
 
     def join(depth: int, binding: Dict[Variable, object]) -> None:
         if budget is not None:
@@ -380,38 +384,17 @@ def evaluate_cq(
         if depth == len(plans):
             answers.add(tuple(binding[v] for v in cq.answer_vars))
             return
-        atom, key_positions, key_terms, index = plans[depth]
-        key = probe_key(key_terms, binding)
-        candidates = index.get(key, ())
-        if not candidates and any(isinstance(t, Constant) for t in key_terms):
-            # string-coercion fallback for constants (IRI/value mismatch)
-            candidates = [
-                row
-                for rows in index.values()
-                for row in rows
-                if all(
-                    row[i] == (binding[t] if isinstance(t, Variable) else t.value)
-                    or (
-                        isinstance(t, Constant)
-                        and str(row[i]) == str(t.value)
-                    )
-                    for i, t in zip(key_positions, key_terms)
-                )
-            ]
-        for row in candidates:
+        probe, binds, repeats, index = plans[depth]
+        key = tuple(
+            [term if constant else cell_key(binding[term]) for constant, term in probe]
+        )
+        for row in index.get(key, ()):
+            if any(cell_key(row[i]) != cell_key(row[j]) for i, j in repeats):
+                continue
             local = dict(binding)
-            ok = True
-            for position, (term, value) in enumerate(zip(atom.args, row)):
-                if isinstance(term, Constant):
-                    continue  # checked by the key
-                bound = local.get(term)
-                if bound is None:
-                    local[term] = value
-                elif bound != value:
-                    ok = False
-                    break
-            if ok:
-                join(depth + 1, local)
+            for position, term in binds:
+                local[term] = row[position]
+            join(depth + 1, local)
 
     join(0, {})
     return answers

@@ -32,7 +32,6 @@ from ...dllite.axioms import (
     RoleInclusion,
 )
 from ...dllite.syntax import (
-    AtomicAttribute,
     AtomicConcept,
     AtomicRole,
     AttributeDomain,
@@ -45,7 +44,6 @@ from ...errors import ReproError
 from ...runtime.budget import Budget
 from ..queries import (
     Atom,
-    Constant,
     ConjunctiveQuery,
     UnionQuery,
     Variable,
@@ -215,14 +213,30 @@ def _unify_atoms(
     return {var: walk(var) for var in substitution}
 
 
+def _merge_duplicates(cq: ConjunctiveQuery) -> ConjunctiveQuery:
+    """*cq* with repeated atoms merged (a CQ body is a set).
+
+    A leftover copy is not harmless here: it counts as a second
+    occurrence of its variables, which blocks the existential steps,
+    and it survives a rewriting of the other copy, which then looks
+    like an already-seen disjunct.
+    """
+    atoms = tuple(dict.fromkeys(cq.atoms))
+    if len(atoms) == len(cq.atoms):
+        return cq
+    return ConjunctiveQuery(cq.answer_vars, atoms, cq.name)
+
+
 def _reductions(cq: ConjunctiveQuery) -> Iterator[ConjunctiveQuery]:
+    """``reduce``: unify two same-predicate atoms, merging the atoms the
+    unifier made identical."""
     rigid = set(cq.answer_vars)
     for first, second in itertools.combinations(cq.atoms, 2):
         unifier = _unify_atoms(first, second, rigid)
         if unifier is None:
             continue
         try:
-            yield cq.substitute(unifier)
+            yield _merge_duplicates(cq.substitute(unifier))
         except ReproError:
             continue
 
@@ -252,7 +266,7 @@ def perfect_ref(
 
     seen: Dict[object, ConjunctiveQuery] = {}
     worklist: List[ConjunctiveQuery] = []
-    for disjunct in query:
+    for disjunct in map(_merge_duplicates, query):
         key = disjunct.canonical()
         if key not in seen:
             seen[key] = disjunct

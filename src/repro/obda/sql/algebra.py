@@ -5,17 +5,22 @@ algebra; the evaluator produces a :class:`ResultSet` (named columns +
 tuples).  Supported operators: scan, selection (conjunctions of
 column=column / column=constant / column!=...), projection with optional
 renaming, natural-free equi-join, and union.
+
+Cells compare by :func:`~repro.obda.sql.stats.cell_key` (their string
+form) everywhere: in selections, in hash-join buckets and in duplicate
+elimination, so a projection can never merge cells that template to
+different individuals nor keep apart cells that template to one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ...errors import MappingError
 from ...runtime.budget import Budget
 from .database import Database
-from .stats import JoinIndex, _value_keys
+from .stats import JoinIndex, cell_key, join_key
 
 __all__ = [
     "ResultSet",
@@ -28,28 +33,6 @@ __all__ = [
     "Condition",
     "evaluate",
 ]
-
-
-def _distinct_key(value):
-    """The duplicate-elimination key of one projected cell.
-
-    Plain tuple equality is *too coarse* here: ``1 == 1.0 == True`` in
-    Python, yet their string forms differ, so collapsing them inside a
-    projection loses answers once an IRI template is applied downstream
-    (``person/1`` vs ``person/1.0`` are distinct individuals — KB mode
-    keeps both).  The key therefore refines both equalities at once:
-    strings key on themselves, finite numerics on (string form,
-    canonical numeric class), everything else (None, non-finite floats,
-    exotic cells) on (string form, type).  Two cells share a key only
-    if they are ``==`` *and* agree on ``str()`` — so a distinct
-    projection can never change the final answer set, only multiplicity.
-    """
-    if isinstance(value, str):
-        return value
-    keys = _value_keys(value)
-    if len(keys) == 2:
-        return keys
-    return (keys[0], value.__class__)
 
 
 class ResultSet:
@@ -73,7 +56,7 @@ class ResultSet:
         seen = set()
         rows = []
         for row in self.rows:
-            key = tuple(_distinct_key(value) for value in row)
+            key = join_key(row)
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
@@ -233,11 +216,10 @@ def _evaluate_join(
     conditions are classified instead: equalities spanning the two sides
     become hash-join keys, side-local conditions filter their input
     before the join, and everything else (e.g. ``!=`` across the sides)
-    runs as a residual filter over the joined rows.  Bucketing goes
-    through :class:`~repro.obda.sql.stats.JoinIndex`, whose multi-key
-    scheme matches ``equal()`` exactly (including the ``on`` pairs, so
-    join and selection equality agree), and the output columns/rows are
-    exactly those of the filtered cross product.
+    runs as a residual filter over the joined rows.  Buckets key on
+    :func:`~repro.obda.sql.stats.join_key`, the same cell identity the
+    selection filter uses (the ``on`` pairs included), and the output
+    columns/rows are exactly those of the filtered cross product.
     """
     left = evaluate(join.left, database, budget)
     right = evaluate(join.right, database, budget)
@@ -319,34 +301,33 @@ def _resolve(result: ResultSet, column: str) -> int:
 
 
 def _compile_conditions(conditions: Sequence[Condition], source: ResultSet):
+    """A row predicate for the conjunction; constants are keyed once here."""
     compiled = []
     for condition in conditions:
+        if condition.operator not in ("=", "!="):
+            raise MappingError(f"unsupported operator {condition.operator!r}")
         left_const = isinstance(condition.left, Const)
         right_const = isinstance(condition.right, Const)
-        left = condition.left.value if left_const else _resolve(source, condition.left)
-        right = (
-            condition.right.value if right_const else _resolve(source, condition.right)
+        left = (
+            cell_key(condition.left.value)
+            if left_const
+            else _resolve(source, condition.left)
         )
-        compiled.append((left_const, left, right_const, right, condition.operator))
-
-    def equal(left_value, right_value) -> bool:
-        # Values flowing back from IRI templates are strings, while the
-        # stored cell may be numeric; compare with a string fallback so
-        # `person/{id}` round-trips against integer keys.
-        return left_value == right_value or str(left_value) == str(right_value)
+        right = (
+            cell_key(condition.right.value)
+            if right_const
+            else _resolve(source, condition.right)
+        )
+        compiled.append(
+            (left_const, left, right_const, right, condition.operator == "=")
+        )
 
     def predicate(row) -> bool:
-        for left_const, left, right_const, right, operator in compiled:
-            left_value = left if left_const else row[left]
-            right_value = right if right_const else row[right]
-            if operator == "=":
-                if not equal(left_value, right_value):
-                    return False
-            elif operator == "!=":
-                if equal(left_value, right_value):
-                    return False
-            else:
-                raise MappingError(f"unsupported operator {operator!r}")
+        for left_const, left, right_const, right, wanted in compiled:
+            left_key = left if left_const else cell_key(row[left])
+            right_key = right if right_const else cell_key(row[right])
+            if (left_key == right_key) != wanted:
+                return False
         return True
 
     return predicate

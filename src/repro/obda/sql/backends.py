@@ -10,32 +10,20 @@ as **one** SQL statement — disjuncts as ``UNION``, joins/selections/
 projections inline — so join ordering, index selection and
 deduplication happen inside a real query engine.
 
-Correctness hinges on the engine's mixed-type equality
-(``a == b or str(a) == str(b)``, see :mod:`repro.obda.sql.algebra`),
-which no single SQLite collation can express because it is not
-transitive (``"1" ~ 1 ~ 1.0`` yet ``"1" !~ 1.0``).  The backend
-therefore reuses the :func:`repro.obda.sql.stats._value_keys`
-canonicalization *as a storage encoding*: every logical column ``i``
-becomes three physical columns
+Correctness hinges on the engine's cell identity: two cells are equal
+iff their string forms are (:func:`repro.obda.sql.stats.cell_key`) —
+not SQLite's typed ``=``, under which ``1 = 1.0`` but ``1 <> '1'``.
+Every logical column ``i`` therefore becomes two physical columns
 
 ``c{i}_v``
-    the raw value (INTEGER/REAL/TEXT/NULL; booleans as 0/1),
+    the raw value (INTEGER/REAL/TEXT/NULL; booleans as 0/1), used only
+    to decode raw value answers back,
 ``c{i}_t``
-    the string form ``str(value)`` — never NULL (``None`` stores
-    ``'None'``, exactly the string the evaluator's fallback compares),
-``c{i}_n``
-    the canonical numeric key (``int`` when integral) or NULL for
-    strings and non-finite floats,
+    the key ``cell_key(value)`` — never NULL (``None`` stores
+    ``'None'``), indexed per position,
 
-and every equality compiles to
-
-``(l_t = r_t OR (l_n IS NOT NULL AND r_n IS NOT NULL AND l_n = r_n))``
-
-which matches exactly the pairs ``equal()`` accepts, never evaluates
-to SQL NULL (safe under ``NOT`` for ``!=``), and stays sargable: with
-per-position indexes on both ``_t`` and ``_n`` (mirroring the
-:class:`~repro.obda.sql.stats.StatisticsCatalog` join indexes) SQLite
-answers it with its MULTI-INDEX OR optimization instead of a scan.
+and every equality compiles to a plain ``l_t = r_t`` (constants are
+bound as their key), which SQLite plans like any indexed equi-join.
 
 Loading is incremental and generation-validated like every other cache
 in the repo: tables are bulk-loaded via ``executemany`` batches, and on
@@ -62,7 +50,7 @@ import sqlite3
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ...errors import MappingError
 from ...obs.metrics import global_metrics
@@ -79,7 +67,7 @@ from .algebra import (
     UnionAll,
 )
 from .database import Database
-from .stats import _value_keys
+from .stats import cell_key
 
 __all__ = ["SqliteBackend"]
 
@@ -98,19 +86,13 @@ def _strip(column: str) -> str:
     return column.rsplit(".", 1)[-1]
 
 
-def _encode_cell(value) -> Tuple[object, str, object]:
-    """The ``(_v, _t, _n)`` physical triple for one logical cell.
+def _encode_cell(value) -> Tuple[object, str]:
+    """The ``(_v, _t)`` physical pair for one logical cell.
 
-    Mirrors :func:`repro.obda.sql.stats._value_keys`: ``_t`` is the
-    string form (the primary join key), ``_n`` the canonical numeric
-    class for finite numerics.  ``_v`` keeps the raw value when SQLite
-    can store it faithfully; otherwise it degrades to the string form.
+    ``_t`` is the cell key; ``_v`` keeps the raw value when SQLite can
+    store it faithfully, otherwise it degrades to the string form.
     """
-    keys = _value_keys(value)
-    text = keys[0]
-    numeric = keys[1] if len(keys) > 1 else None
-    if isinstance(numeric, int) and not (_INT64_MIN <= numeric <= _INT64_MAX):
-        numeric = float(numeric)  # beyond 64-bit: the REAL class is exact here
+    text = cell_key(value)
     if value is None or isinstance(value, str) or isinstance(value, float):
         raw: object = value  # NaN becomes NULL; decoded back via _t
     elif isinstance(value, bool):
@@ -119,7 +101,7 @@ def _encode_cell(value) -> Tuple[object, str, object]:
         raw = value if _INT64_MIN <= value <= _INT64_MAX else text
     else:  # exotic cell object: keep the string form everywhere
         raw = text
-    return raw, text, numeric
+    return raw, text
 
 
 def _decode_raw(raw, text):
@@ -153,10 +135,6 @@ class _ColRef:
     def t(self) -> str:
         return f"{self.alias}.c{self.position}_t"
 
-    @property
-    def n(self) -> str:
-        return f"{self.alias}.c{self.position}_n"
-
 
 class _Frame:
     """A flattened SELECT under construction: FROM items, WHERE
@@ -183,14 +161,6 @@ class _Frame:
         if not matches:
             raise MappingError(f"no column {column!r} in {tuple(names)}")
         raise MappingError(f"ambiguous column {column!r} in {tuple(names)}")
-
-
-def _equality_sql(left: _ColRef, right: _ColRef) -> str:
-    """``equal(l, r)`` over the dual-key encoding; never SQL NULL."""
-    return (
-        f"({left.t} = {right.t} OR ({left.n} IS NOT NULL "
-        f"AND {right.n} IS NOT NULL AND {left.n} = {right.n}))"
-    )
 
 
 class _Compiler:
@@ -243,9 +213,7 @@ class _Compiler:
             frame.columns = left.columns + right.columns
             for left_name, right_name in expression.on:
                 frame.where.append(
-                    _equality_sql(
-                        left.resolve(left_name), right.resolve(right_name)
-                    )
+                    f"{left.resolve(left_name).t} = {right.resolve(right_name).t}"
                 )
             return frame
         if isinstance(expression, Projection):
@@ -256,8 +224,8 @@ class _Compiler:
             # DISTINCT is intentionally dropped: every unfolded part is
             # consumed as a set (final UNION / answer-set dedup), so
             # inner dedup only affects multiplicity, never membership —
-            # and keeping the SELECT flat is what lets SQLite use the
-            # MULTI-INDEX OR access path on the dual-key join predicate.
+            # and keeping the SELECT flat leaves SQLite free to reorder
+            # the joins across every FROM item.
             frame.columns = [
                 (name, frame.resolve(column))
                 for column, name in zip(expression.columns, names)
@@ -272,7 +240,7 @@ class _Compiler:
         for part in expression.parts:
             inner = self.flatten(part)
             select_list = ", ".join(
-                f"{ref.v} AS c{i}_v, {ref.t} AS c{i}_t, {ref.n} AS c{i}_n"
+                f"{ref.v} AS c{i}_v, {ref.t} AS c{i}_t"
                 for i, (_, ref) in enumerate(inner.columns)
             )
             sql = f"SELECT {select_list} FROM {', '.join(inner.from_items)}"
@@ -297,41 +265,17 @@ class _Compiler:
         return frame
 
     def _compile_condition(self, condition: Condition, frame: _Frame) -> None:
-        left_const = isinstance(condition.left, Const)
-        right_const = isinstance(condition.right, Const)
-        if left_const and right_const:
-            left, right = condition.left.value, condition.right.value
-            truth = left == right or str(left) == str(right)
-            if condition.operator == "!=":
-                truth = not truth
-            frame.where.append("1" if truth else "0")
-            return
-        if left_const or right_const:
-            constant = (condition.left if left_const else condition.right).value
-            column = condition.right if left_const else condition.left
-            ref = frame.resolve(column)
-            keys = _value_keys(constant)
-            text = keys[0]
-            numeric = keys[1] if len(keys) > 1 else None
-            if isinstance(numeric, int) and not (
-                _INT64_MIN <= numeric <= _INT64_MAX
-            ):
-                numeric = float(numeric)
-            if numeric is None:
-                equality = f"{ref.t} = ?"
-                frame.params.append(text)
+        sides = []
+        for side in (condition.left, condition.right):
+            if isinstance(side, Const):
+                sides.append("?")
+                frame.params.append(cell_key(side.value))
             else:
-                # IS is null-safe: a NULL _n (string cell) never matches.
-                equality = f"({ref.t} = ? OR {ref.n} IS ?)"
-                frame.params.extend([text, numeric])
-        else:
-            equality = _equality_sql(
-                frame.resolve(condition.left), frame.resolve(condition.right)
-            )
+                sides.append(frame.resolve(side).t)
         if condition.operator == "=":
-            frame.where.append(equality)
+            frame.where.append(f"{sides[0]} = {sides[1]}")
         elif condition.operator == "!=":
-            frame.where.append(f"NOT {equality}")
+            frame.where.append(f"{sides[0]} <> {sides[1]}")
         else:
             raise MappingError(f"unsupported operator {condition.operator!r}")
 
@@ -462,26 +406,22 @@ class SqliteBackend:
     def _create_table(self, name: str, column_count: int) -> None:
         physical = _quote(f"d_{name}")
         self._connection.execute(f"DROP TABLE IF EXISTS {physical}")
-        columns = ", ".join(
-            f"c{i}_v, c{i}_t, c{i}_n" for i in range(column_count)
-        )
+        columns = ", ".join(f"c{i}_v, c{i}_t" for i in range(column_count))
         self._connection.execute(f"CREATE TABLE {physical} ({columns})")
 
     def _create_indexes(self, name: str, column_count: int) -> None:
         physical = _quote(f"d_{name}")
         for i in range(column_count):
-            for suffix in ("t", "n"):
-                index = _quote(f"i_{name}_{i}_{suffix}")
-                self._connection.execute(
-                    f"CREATE INDEX IF NOT EXISTS {index} "
-                    f"ON {physical} (c{i}_{suffix})"
-                )
+            index = _quote(f"i_{name}_{i}_t")
+            self._connection.execute(
+                f"CREATE INDEX IF NOT EXISTS {index} ON {physical} (c{i}_t)"
+            )
 
     def _ship_rows(
         self, name: str, column_count: int, rows, budget: Optional[Budget]
     ) -> int:
         physical = _quote(f"d_{name}")
-        placeholders = ", ".join("?" for _ in range(3 * column_count))
+        placeholders = ", ".join("?" for _ in range(2 * column_count))
         statement = f"INSERT INTO {physical} VALUES ({placeholders})"
         shipped = 0
         batch: List[Tuple] = []

@@ -61,7 +61,7 @@ from .algebra import (
     evaluate,
 )
 from .database import Database
-from .stats import JoinIndex, StatisticsCatalog
+from .stats import JoinIndex, StatisticsCatalog, join_key
 
 __all__ = [
     "PlanNode",
@@ -350,7 +350,7 @@ class HashJoinNode(PlanNode):
             for row in left.rows:
                 if budget is not None:
                     budget.tick()
-                if index.contains([row[i] for i in left_positions]):
+                if join_key([row[i] for i in left_positions]) in index:
                     rows.append(row)
             return ResultSet(self.columns, rows)
         for row in left.rows:

@@ -10,15 +10,16 @@ access — the same invalidation discipline the extent/index caches of
 :mod:`repro.obda.evaluation` already use, so statistics can never be
 served for data that has since changed shape.
 
-Hash buckets must agree with the algebra evaluator's equality
-(``a == b or str(a) == str(b)`` — an IRI template round-trips ``"1"``
-against the integer cell ``1``).  That predicate is *not transitive*
-(``"1" ~ 1 ~ 1.0`` yet ``"1" !~ 1.0``), so no single key function can
-bucket it exactly; :class:`JoinIndex` therefore files every row under
-each key of :func:`join_keys` — its string form plus, for finite
-numerics, a canonical numeric key — and probes all of the probe value's
-keys, so two values match the index iff the filter would call them
-equal (over the supported cell domain: str, bool, int, float).
+Cell identity lives here too, because every hash bucket in the engine
+must agree with it: two cells are equal iff their string forms are
+(:func:`cell_key`).  That is the identity the IRI templates already
+give individuals (``person/{id}`` names the individual ``person/1`` for
+the cell ``1`` and for the cell ``"1"``, but ``person/1.0`` for
+``1.0``), so joins, selections and duplicate elimination over source
+cells can never disagree with the virtual ABox the mappings generate.
+The extent evaluator, the naive algebra, the planner's hash joins and
+the SQLite replica all key on :func:`cell_key` — one transitive
+equality, one key per value.
 
 Concurrency follows the copy-on-write idiom of
 :meth:`repro.obda.evaluation.ExtentProvider.index`: bookkeeping happens
@@ -29,10 +30,9 @@ is still current.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...obs.metrics import global_metrics
 from ...runtime.budget import Budget
@@ -44,114 +44,40 @@ __all__ = [
     "TableStatistics",
     "StatisticsCatalog",
     "JoinIndex",
+    "cell_key",
     "join_key",
-    "join_keys",
 ]
 
 
+#: The identity of one cell: its string form.  Two cells are equal iff
+#: their keys are; ``1`` and ``"1"`` are one cell, ``1``, ``1.0`` and
+#: ``True`` are three, exactly as the IRI templates that name
+#: individuals by ``str(cell)`` see them.  (The builtin itself, so hot
+#: loops pay no extra Python call per cell.)
+cell_key = str
+
+
 def join_key(values) -> Tuple[str, ...]:
-    """The primary (string-form) hash key for equi-join/bucket values."""
-    return tuple(
-        value if isinstance(value, str) else str(value) for value in values
-    )
+    """The hash key of a tuple of join values: one :func:`cell_key` each."""
+    return tuple(map(cell_key, values))
 
 
-def _value_keys(value) -> Tuple:
-    """Every bucket key *value* answers to.
+class JoinIndex(dict):
+    """Rows bucketed by the :func:`join_key` of their join values."""
 
-    Always the string form; finite numerics additionally key on their
-    canonical numeric class (``int`` when integral), because ``1``,
-    ``1.0`` and ``True`` are ``==`` — hence equal to the filter — while
-    their ``str()`` forms differ.  Non-finite floats need no numeric
-    key: ``inf == inf`` coincides with string equality and ``nan``
-    values only ever match through their shared ``"nan"`` string form.
-    A string key can never collide with a numeric key (``str`` never
-    ``==`` ``int``/``float`` in Python), so the two namespaces are
-    disjoint without tagging.
-    """
-    if isinstance(value, str):
-        return (value,)
-    text = str(value)
-    if isinstance(value, bool) or isinstance(value, int):
-        return (text, int(value))
-    if isinstance(value, float) and math.isfinite(value):
-        return (text, int(value) if value.is_integer() else value)
-    return (text,)
-
-
-def join_keys(values) -> List[Tuple]:
-    """All composite bucket keys for a row's join values.
-
-    The cross product of the per-value alternatives from
-    :func:`_value_keys`; :func:`join_key` (the all-string form) is
-    always among them.  Two value tuples share a composite key iff the
-    evaluator's ``equal()`` accepts every aligned pair — the invariant
-    :class:`JoinIndex` builds on (pinned by the key/equal agreement
-    test in tests/test_planner.py).
-    """
-    keys: List[Tuple] = [()]
-    for value in values:
-        alternatives = _value_keys(value)
-        if len(alternatives) == 1:
-            alternative = alternatives[0]
-            keys = [key + (alternative,) for key in keys]
-        else:
-            keys = [key + (alt,) for key in keys for alt in alternatives]
-    return keys
-
-
-class JoinIndex:
-    """Rows bucketed for equi-join probes, faithful to ``equal()``.
-
-    Each added row occurrence is filed under every composite key of its
-    join values; :meth:`probe` unions the buckets of every key of the
-    probe values, deduplicating by occurrence and restoring insertion
-    order, so the matches are exactly the rows a cross-product filter
-    with ``equal()`` would keep — including mixed-type pairs like
-    ``1``/``1.0`` (``==``, different strings) and ``1``/``"1"`` (equal
-    by string form only).
-    """
-
-    __slots__ = ("_buckets", "_size")
-
-    def __init__(self):
-        self._buckets: Dict[Tuple, List[Tuple[int, Row]]] = {}
-        self._size = 0
+    __slots__ = ()
 
     def add(self, values, row: Row) -> None:
-        entry = (self._size, row)
-        self._size += 1
-        for key in join_keys(values):
-            self._buckets.setdefault(key, []).append(entry)
+        self.setdefault(join_key(values), []).append(row)
 
     def probe(self, values) -> List[Row]:
-        """All rows whose join values ``equal()`` *values* pairwise."""
-        keys = join_keys(values)
-        if len(keys) == 1:  # all-string probe (the common case): one bucket
-            bucket = self._buckets.get(keys[0])
-            return [row for _, row in bucket] if bucket else []
-        entries: List[Tuple[int, Row]] = []
-        seen: Set[int] = set()
-        for key in keys:
-            for entry in self._buckets.get(key, ()):
-                if entry[0] not in seen:
-                    seen.add(entry[0])
-                    entries.append(entry)
-        entries.sort(key=lambda entry: entry[0])
-        return [row for _, row in entries]
-
-    def contains(self, values) -> bool:
-        """True iff :meth:`probe` would return at least one row."""
-        buckets = self._buckets
-        return any(key in buckets for key in join_keys(values))
-
-    def __len__(self) -> int:
-        return self._size
+        """All rows whose join values equal *values* pairwise, in build order."""
+        return self.get(join_key(values), [])
 
 
 @dataclass(frozen=True)
 class ColumnStatistics:
-    """Distinct-value count of one column (over string-normalized values)."""
+    """Distinct-value count of one column (over :func:`cell_key`)."""
 
     name: str
     distinct: int
@@ -234,7 +160,7 @@ class StatisticsCatalog:
             if budget is not None:
                 budget.tick()
             for position, value in enumerate(row):
-                seen[position].add(value if isinstance(value, str) else str(value))
+                seen[position].add(cell_key(value))
         stats = TableStatistics(
             table_name,
             len(rows),

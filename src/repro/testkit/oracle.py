@@ -327,7 +327,7 @@ def diff_backend(
     sqlite backend (``perfectref-sqlite``), the cost-based planner, and
     the naive algebra evaluator (both ``perfectref-sql``).  The naive
     evaluator is the semantic reference; a divergence on the sqlite side
-    means the canonical-key equality encoding, the UNION compilation, or
+    means the string-key equality encoding, the UNION compilation, or
     the delta loader mis-translated the unfolding into real SQL.  An
     empty list means all three produced identical certain answers on
     every query.

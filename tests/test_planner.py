@@ -32,15 +32,13 @@ from repro.obda.sql.planner import (
     OpaqueNode,
     Planner,
     PlannedQuery,
-    ProjectNode,
-    TableScanNode,
 )
 from repro.obda.sql.stats import (
     JoinIndex,
     StatisticsCatalog,
     TableStatistics,
+    cell_key,
     join_key,
-    join_keys,
 )
 from repro.testkit.generators import direct_mapping_system
 
@@ -264,46 +262,31 @@ def test_join_key_string_normalizes():
     assert join_key(("1", "a")) == ("1", "a")
 
 
-def test_join_keys_add_numeric_class_alongside_string_form():
-    keys = join_keys((1, "a"))
-    assert ("1", "a") in keys and (1, "a") in keys
-    assert join_keys(("x",)) == [("x",)]  # strings: single key, no expansion
-    # 1, 1.0 and True are == with different str() forms: one shared key
-    assert set(join_keys((1,))) & set(join_keys((1.0,)))
-    assert set(join_keys((True,))) & set(join_keys((1,)))
-    # but "1" matches 1 (string form) and not 1.0, exactly like equal()
-    assert set(join_keys(("1",))) & set(join_keys((1,)))
-    assert not set(join_keys(("1",))) & set(join_keys((1.0,)))
-
-
-def test_join_keys_agree_with_equal_on_mixed_pool():
-    # The bucketing invariant JoinIndex relies on: two values share a
-    # bucket key iff the evaluator's equal() accepts the pair.
-    def equal(a, b):
-        return a == b or str(a) == str(b)
-
+def test_join_key_agrees_with_string_identity_on_mixed_pool():
+    # The one cell equality: two values share a bucket key iff their
+    # string forms are equal -- transitive, so one key per value suffices.
     pool = [
-        "1", "1.0", "a", "True", "nan", "inf", "2", "0",
-        1, 1.0, 2, 2.5, -1, -1.0, 0, True, False,
+        "1", "1.0", "a", "True", "nan", "inf", "2", "0", "None",
+        1, 1.0, 2, 2.5, -1, -1.0, 0, True, False, None,
         float("nan"), float("inf"), 10**20, 1e20,
     ]
     for a in pool:
+        assert join_key((a,)) == (cell_key(a),)
         for b in pool:
-            share = bool(set(join_keys((a,))) & set(join_keys((b,))))
-            assert share == equal(a, b), (a, b)
+            assert (join_key((a,)) == join_key((b,))) == (str(a) == str(b)), (a, b)
 
 
-def test_join_index_probe_dedups_and_keeps_build_order():
+def test_join_index_probe_returns_one_bucket_in_build_order():
     index = JoinIndex()
-    for row in [(1.0, "x"), ("1", "y"), (1, "z"), (2, "w")]:
+    for row in [(1.0, "x"), ("1", "y"), (1, "z"), (2, "w"), (True, "v")]:
         index.add([row[0]], row)
-    # probe value 1 matches all three 1-ish rows exactly once each, in
-    # build order, even though 1's two keys both hit the (1,)-row
-    assert index.probe([1]) == [(1.0, "x"), ("1", "y"), (1, "z")]
-    assert index.probe([True]) == [(1.0, "x"), (1, "z")]
+    # 1 and "1" share the string form; 1.0 and True are other cells
+    assert index.probe([1]) == [("1", "y"), (1, "z")]
     assert index.probe(["1"]) == [("1", "y"), (1, "z")]
+    assert index.probe([1.0]) == [(1.0, "x")]
+    assert index.probe([True]) == [(True, "v")]
     assert index.probe([3]) == []
-    assert index.contains([2]) and not index.contains([3])
+    assert len(index) == 4  # one bucket per distinct key
 
 
 def test_shared_index_rebuilt_after_insert(db):
@@ -317,9 +300,9 @@ def test_shared_index_rebuilt_after_insert(db):
 
 
 def test_mixed_type_joins_match_filter_semantics_naive_and_planned():
-    # equal() is `a == b or str(a) == str(b)`; the hash paths must match
-    # it bucket-for-bucket, including pairs equal under == only (1 vs
-    # 1.0, True vs 1) and pairs equal by string form only (1 vs "1").
+    # Cells are equal iff their string forms are: 1 joins "1" and 1, but
+    # not 1.0 or True, whose IRIs (x/1.0, x/True) name other individuals.
+    # The naive hash join and the planner's must agree with the filter.
     database = Database("mixed")
     database.create_table("l", ["k"], [(1,), (2,), ("3",), (True,)])
     database.create_table("r", ["k"], [(1.0,), ("1",), (1,), (3,), (False,)])
@@ -327,13 +310,7 @@ def test_mixed_type_joins_match_filter_semantics_naive_and_planned():
         Join(Scan("l"), Scan("r"), on=()),
         (Condition("l.k", "r.k", "="),),
     )
-    expected = sorted(
-        [
-            ("1", "1.0"), ("1", "'1'"), ("1", "1"),
-            ("'3'", "3"),
-            ("True", "1.0"), ("True", "1"),
-        ]
-    )
+    expected = sorted([("1", "'1'"), ("1", "1"), ("'3'", "3")])
     naive = evaluate(expr, database)
     assert sorted(tuple(map(repr, row)) for row in naive.rows) == expected
     planner = Planner(StatisticsCatalog(database))

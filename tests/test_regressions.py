@@ -23,6 +23,8 @@ from repro.testkit import (
     semantics_soundness,
 )
 
+from tests.test_cell_identity import route_answers
+
 CORPUS = Path(__file__).parent / "regressions"
 FIXTURES = sorted(CORPUS.glob("*.dl"))
 
@@ -190,72 +192,63 @@ def test_planner_regression_all_redundant_disjuncts_pruned():
     assert pruning["after"] == 1
 
 
+def _names(answers):
+    return {tuple(str(value) for value in answer) for answer in answers}
+
+
 def test_backend_regression_mixed_type_keys():
     """The pinned planner-sqlite-mixed-keys scenario, replayed explicitly.
 
-    Mixed-type cells (1, "1", 1.0, True, None) must survive the sqlite
-    round trip: selections and joins match by the engine's loose
-    equality, while distinct IRI string forms stay apart in the answers.
+    Mixed-type cells (1, "1", 1.0, True, None, 2, 2.0) join, select and
+    deduplicate by their string form on every route, so all five agree
+    with KB mode over the virtual ABox the mappings generate.
     """
-    from repro.dllite import AtomicConcept, AtomicRole
-    from repro.obda import Database, MappingAssertion, MappingCollection, TargetAtom
-    from repro.obda.mapping import IriTemplate
-    from repro.obda.system import OBDASystem
-
     tbox = _load(CORPUS / "planner-sqlite-mixed-keys.dl")
-    rows = {
-        "staff": (["id", "role"], [(1, "prof"), ("1", "lect"), (1.0, "prof"),
-                                   (True, "lect"), (None, "prof"), (2, "prof")]),
-        "teaching": (["sid", "course"], [(1, "logic"), ("1", "sets"),
-                                         (2.0, "compilers")]),
+    staff = [(1, "prof"), ("1", "lect"), (1.0, "prof"), (True, "lect"),
+             (None, "prof"), (2, "prof")]
+    teaching = [(1, "logic"), ("1", "sets"), (2.0, "compilers")]
+    queries = (
+        "q(x) :- Teacher(x)",
+        "q(x, y) :- teaches(x, y)",
+        "q(y) :- Professor(x), teaches(x, y)",
+        "q(x) :- Professor(x), teaches(x, c)",
+        "q(x) :- Professor(x), Lecturer(x)",
+        "q() :- Lecturer(x)",
+    )
+    expected, outcomes = route_answers(tbox, staff, teaching, queries)
+    for label, answers in outcomes.items():
+        assert answers == expected, label
+    # 1 and "1" are one cell (person/1); 1.0, True, None and 2.0 are not
+    # equal to it, though 1 == 1.0 == True and 2 == 2.0 in Python
+    assert _names(expected["q(x) :- Teacher(x)"]) == {
+        ("person/1",), ("person/1.0",), ("person/True",), ("person/None",),
+        ("person/2",), ("person/2.0",),
+    }
+    assert _names(expected["q(x) :- Professor(x), teaches(x, c)"]) == {
+        ("person/1",)
+    }
+    assert _names(expected["q(y) :- Professor(x), teaches(x, y)"]) == {
+        ("course/logic",), ("course/sets",)
+    }
+    assert _names(expected["q(x) :- Professor(x), Lecturer(x)"]) == {
+        ("person/1",)
     }
 
-    def build():
-        database = Database("sqlite-regression")
-        for name, (columns, data) in sorted(rows.items()):
-            database.create_table(name, columns, list(data))
-        mappings = MappingCollection(
-            [
-                MappingAssertion(
-                    "SELECT id FROM staff WHERE role = 'prof'",
-                    [TargetAtom(AtomicConcept("Professor"),
-                                (IriTemplate("person/{id}"),))],
-                ),
-                MappingAssertion(
-                    "SELECT id FROM staff WHERE role = 'lect'",
-                    [TargetAtom(AtomicConcept("Lecturer"),
-                                (IriTemplate("person/{id}"),))],
-                ),
-                MappingAssertion(
-                    "SELECT sid, course FROM teaching",
-                    [TargetAtom(AtomicRole("teaches"),
-                                (IriTemplate("person/{sid}"),
-                                 IriTemplate("course/{course}")))],
-                ),
-            ]
-        )
-        return OBDASystem(tbox, mappings=mappings, database=database)
 
-    outcomes = {}
-    for label, method, planner in (
-        ("sqlite", "perfectref-sqlite", True),
-        ("planned", "perfectref-sql", True),
-        ("naive", "perfectref-sql", False),
-    ):
-        system = build()
-        system.use_planner = planner
-        outcomes[label] = {
-            text: _answers(system, text, method=method)
-            for text in (
-                "q(x) :- Teacher(x)",
-                "q(x, y) :- teaches(x, y)",
-                "q(y) :- Professor(x), teaches(x, y)",
-                "q() :- Lecturer(x)",
-            )
-        }
-    assert outcomes["sqlite"] == outcomes["naive"]
-    assert outcomes["planned"] == outcomes["naive"]
-    # the loose equality matched 1 / "1" / 1.0 / True, but their string
-    # forms — hence their IRIs — stay distinct certain answers
-    teachers = {answer[0].name for answer in outcomes["sqlite"]["q(x) :- Teacher(x)"]}
-    assert {"person/1", "person/1.0", "person/True", "person/None"} <= teachers
+def test_perfectref_regression_reduce_merges_duplicate_atoms():
+    """The perfectref-reduce-duplicate-atoms scenario on every route.
+
+    Lecturer 2 teaches nothing on record, yet ``x = y = 2`` with the
+    course ``Teacher isa exists teaches`` guarantees is an answer.
+    """
+    tbox = _load(CORPUS / "perfectref-reduce-duplicate-atoms.dl")
+    query = "q(y) :- Lecturer(x), teaches(x, c), teaches(y, c), Lecturer(y)"
+    expected, outcomes = route_answers(
+        tbox,
+        [(1, "lect"), (2, "lect"), (3, "prof")],
+        [(1, "course1"), (3, "course1")],
+        (query,),
+    )
+    assert _names(expected[query]) == {("person/1",), ("person/2",)}
+    for label, answers in outcomes.items():
+        assert answers == expected, label

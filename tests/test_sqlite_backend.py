@@ -2,8 +2,8 @@
 
 The contract under test: for every unfolded UCQ, the backend's answer
 set equals the naive in-memory evaluator's — including the mixed-type
-equality corners (``a == b or str(a) == str(b)``) that motivated the
-dual-key storage encoding — while loading incrementally (only new rows
+corners of the cell identity (two cells are equal iff their string
+forms are) — while loading incrementally (only new rows
 re-shipped on insert) and honoring ``runtime.budget`` deadlines from
 inside SQLite via a progress handler.
 """
@@ -16,7 +16,7 @@ import pytest
 from repro.dllite import AtomicAttribute, AtomicConcept, AtomicRole
 from repro.dllite.abox import Individual
 from repro.dllite.parser import parse_tbox
-from repro.errors import MappingError, ReproError, TimeoutExceeded
+from repro.errors import ReproError, TimeoutExceeded
 from repro.obda.mapping import (
     IriTemplate,
     MappingAssertion,
@@ -361,8 +361,9 @@ def test_numeric_constant_selection_matches_equal_semantics():
     expected = naive.certain_answers("q(x) :- Professor(x)", method="perfectref-sql")
     got = sqlite.certain_answers("q(x) :- Professor(x)", method="perfectref-sqlite")
     assert got == expected
-    # equal(cell, 1) accepts 1, "1", 1.0 and True — but not 2
-    assert {answer[0].name for answer in got} == {"p/1", "p/2", "p/3", "p/4"}
+    # the constant 1 is the cell "1": it matches 1 and "1", not 1.0,
+    # True or 2, whose string forms differ
+    assert {answer[0].name for answer in got} == {"p/1", "p/2"}
 
 
 def test_empty_unfolding_returns_empty_set():
@@ -438,19 +439,18 @@ def test_progress_handler_aborts_runaway_statement():
     [1, -7, "x", "1", 2.5, 2.0, True, False, None, float("inf"), float("-inf")],
 )
 def test_encode_decode_roundtrip(value):
-    raw, text, _ = _encode_cell(value)
+    raw, text = _encode_cell(value)
     assert text == str(value)
     decoded = _decode_raw(raw, text)
     assert decoded == value and type(decoded) is type(value)
 
 
 def test_encode_nan_and_huge_ints_degrade_as_documented():
-    raw, text, numeric = _encode_cell(float("nan"))
-    assert text == "nan" and numeric is None
+    raw, text = _encode_cell(float("nan"))
+    assert text == "nan"
     assert math.isnan(_decode_raw(None, "nan"))
-    raw, text, numeric = _encode_cell(10 ** 30)
+    raw, text = _encode_cell(10 ** 30)
     assert raw == text == str(10 ** 30)
-    assert numeric == float(10 ** 30)
 
 
 def test_retry_wrapped_database_is_used_for_table_access():
