@@ -108,6 +108,8 @@ class ConsequenceBasedReasoner(Reasoner):
         concept_id_set = set(concept_ids)
         subsumptions = set()
         for node_id in concept_ids:
+            if watch is not None:
+                watch.check_budget()
             mask = closure[node_id]
             # One iteration per set bit — bounded by the node count.
             while mask:  # repro-lint: disable=RL003

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple, Union
 
 from ..errors import UnknownPredicate
+from .sql.stats import cell_key
 
 __all__ = [
     "Variable",
@@ -133,7 +134,12 @@ class ConjunctiveQuery:
         return self.substitute(mapping)
 
     def canonical(self) -> Tuple:
-        """A canonical form invariant under existential-variable renaming."""
+        """A canonical form invariant under existential-variable renaming.
+
+        Constants are keyed by :func:`~repro.obda.sql.stats.cell_key`,
+        the engine's one cell identity, so a body mixing constant types
+        (``R(x, 1), R(x, "a")``) still sorts.
+        """
         ordering: Dict[Variable, int] = {v: i for i, v in enumerate(self.answer_vars)}
 
         def key(atom: Atom):
@@ -142,7 +148,7 @@ class ConjunctiveQuery:
                 tuple(
                     ("v", ordering[t]) if isinstance(t, Variable) and t in ordering
                     else ("e", t.name) if isinstance(t, Variable)
-                    else ("c", str(t.value))
+                    else ("c", cell_key(t.value))
                     for t in atom.args
                 ),
             )
@@ -160,7 +166,7 @@ class ConjunctiveQuery:
                         canon[term] = next(counter)
                     terms.append(("v", canon[term]))
                 else:
-                    terms.append(("c", term.value))
+                    terms.append(("c", cell_key(term.value)))
             shape.append((atom.predicate, tuple(terms)))
         return (self.answer_vars and len(self.answer_vars) or 0, tuple(sorted(shape)))
 
@@ -253,11 +259,19 @@ def minimize_ucq(ucq: UnionQuery) -> UnionQuery:
 
     A disjunct ``d`` is redundant when some other kept disjunct ``d0``
     maps homomorphically into it — every answer of ``d`` is already an
-    answer of ``d0``.
+    answer of ``d0``.  Shorter disjuncts are more general, so they are
+    tried as keepers first.  A keeper can only map into a disjunct whose
+    predicate set contains its own, so that subset test skips hopeless
+    pairs before the exponential matcher runs.
     """
     kept: List[ConjunctiveQuery] = []
-    # prefer shorter disjuncts (more general) as keepers
+    kept_predicates: List[FrozenSet[str]] = []
     for disjunct in sorted(set(ucq.disjuncts), key=lambda cq: len(cq.atoms)):
-        if not any(homomorphism_exists(keeper, disjunct) for keeper in kept):
+        predicates = frozenset(atom.predicate for atom in disjunct.atoms)
+        if not any(
+            keeper_predicates <= predicates and homomorphism_exists(keeper, disjunct)
+            for keeper, keeper_predicates in zip(kept, kept_predicates)
+        ):
             kept.append(disjunct)
+            kept_predicates.append(predicates)
     return UnionQuery(kept, ucq.name)

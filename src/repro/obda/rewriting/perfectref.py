@@ -19,15 +19,22 @@ An *unbound* argument is an existential variable with a single body
 occurrence.  ``reduce`` unifies two same-predicate atoms (answer
 variables and constants are rigid) so previously bound variables can
 become unbound, enabling further rewritings.
+
+The positive inclusions are indexed by right-hand-side predicate once
+per TBox generation, so each derived CQ visits only the inclusions that
+can rewrite one of its atoms, still in TBox order.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import threading
+import weakref
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ...dllite.axioms import (
     AttributeInclusion,
+    Axiom,
     ConceptInclusion,
     RoleInclusion,
 )
@@ -117,27 +124,121 @@ def _replace(cq: ConjunctiveQuery, old: Tuple[Atom, ...], new: Tuple[Atom, ...])
     return ConjunctiveQuery(cq.answer_vars, unique, cq.name)
 
 
+def _rhs_predicate(axiom) -> Optional[str]:
+    """The predicate an atom must have for *axiom* to rewrite it."""
+    if isinstance(axiom, ConceptInclusion):
+        rhs = axiom.rhs
+        if isinstance(rhs, AtomicConcept):
+            return rhs.name
+        if isinstance(rhs, (ExistentialRole, QualifiedExistential)):
+            role = rhs.role
+            return role.name if isinstance(role, AtomicRole) else role.role.name
+        if isinstance(rhs, AttributeDomain):
+            return rhs.attribute.name
+        return None
+    if isinstance(axiom, RoleInclusion):
+        role = axiom.rhs
+        return role.name if isinstance(role, AtomicRole) else role.role.name
+    if isinstance(axiom, AttributeInclusion):
+        return axiom.rhs.name
+    return None
+
+
+def _applies_to_roles_only(axiom) -> bool:
+    """Whether *axiom* rewrites binary atoms only when they are roles."""
+    return isinstance(axiom, RoleInclusion) or (
+        isinstance(axiom, ConceptInclusion)
+        and isinstance(axiom.rhs, (ExistentialRole, QualifiedExistential))
+    )
+
+
+class _InclusionIndex:
+    """One TBox generation's positive inclusions, keyed by the predicate
+    of their right-hand side.
+
+    Each bucket holds ``(position, predicate, axiom)`` entries,
+    *position* being the axiom's place in the TBox, so the buckets a CQ
+    touches merge back into TBox order.  An inclusion on a role whose
+    name the signature does not type as a role can never fire and is
+    left out.
+    """
+
+    __slots__ = ("generation", "by_predicate")
+
+    def __init__(self, tbox: TBox):
+        # Read before the snapshot: an axiom added in between leaves this
+        # index stamped with the older generation, so it is rebuilt.
+        self.generation = tbox.generation
+        axioms = tbox.axioms
+        # a name declared both as a role and as an attribute is an attribute
+        roles = {role.name for role in tbox.signature.roles} - {
+            attribute.name for attribute in tbox.signature.attributes
+        }
+        self.by_predicate: Dict[str, List[Tuple[int, str, Axiom]]] = {}
+        for position, axiom in enumerate(axioms):
+            if not axiom.is_positive:
+                continue
+            name = _rhs_predicate(axiom)
+            if name is None:
+                continue
+            if _applies_to_roles_only(axiom) and name not in roles:
+                continue
+            self.by_predicate.setdefault(name, []).append((position, name, axiom))
+
+    def relevant(self, predicates: Iterable[str]) -> List[Tuple[int, str, Axiom]]:
+        """The inclusions that may rewrite an atom over *predicates*, in
+        TBox order."""
+        buckets = [
+            self.by_predicate[name] for name in predicates if name in self.by_predicate
+        ]
+        if len(buckets) == 1:
+            return buckets[0]
+        # positions are unique, so the sort never compares past them
+        return sorted(itertools.chain.from_iterable(buckets))
+
+
+_INDEX_LOCK = threading.Lock()
+#: TBox → its inclusion index; weak keys, so a dropped TBox frees its index
+_INDEX_CACHE: "weakref.WeakKeyDictionary[TBox, _InclusionIndex]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _inclusion_index(tbox: TBox) -> _InclusionIndex:
+    """The inclusion index of *tbox*'s current generation, built on first
+    use and rebuilt after any ``add``/``discard``/``declare``."""
+    generation = tbox.generation
+    with _INDEX_LOCK:
+        index = _INDEX_CACHE.get(tbox)
+    if index is not None and index.generation == generation:
+        return index
+    index = _InclusionIndex(tbox)
+    with _INDEX_LOCK:
+        current = _INDEX_CACHE.get(tbox)
+        if current is None or current.generation < index.generation:
+            _INDEX_CACHE[tbox] = index
+    return index
+
+
 def _atom_rewritings(
-    cq: ConjunctiveQuery, tbox: TBox, kinds: Dict[str, str]
+    cq: ConjunctiveQuery, index: _InclusionIndex
 ) -> Iterator[ConjunctiveQuery]:
     counts = _occurrences(cq)
     atoms_by_pred: Dict[str, List[Atom]] = {}
     for atom in cq.atoms:
         atoms_by_pred.setdefault(atom.predicate, []).append(atom)
 
-    for axiom in tbox.positive_inclusions:
+    for _, name, axiom in index.relevant(atoms_by_pred):
         if isinstance(axiom, ConceptInclusion):
             rhs = axiom.rhs
             if isinstance(rhs, AtomicConcept):
-                for atom in atoms_by_pred.get(rhs.name, ()):
+                for atom in atoms_by_pred[name]:
                     if atom.arity == 1:
                         yield _replace(cq, (atom,), (_atom_for(axiom.lhs, atom.args[0]),))
             elif isinstance(rhs, (ExistentialRole, QualifiedExistential)):
-                role = rhs.role
-                name = role.name if isinstance(role, AtomicRole) else role.role.name
-                inverted = isinstance(role, InverseRole)
-                for atom in atoms_by_pred.get(name, ()):
-                    if atom.arity != 2 or kinds.get(name) != "role":
+                inverted = isinstance(rhs.role, InverseRole)
+                for atom in atoms_by_pred[name]:
+                    if atom.arity != 2:
                         continue
                     subject, object_ = atom.args
                     if inverted:
@@ -160,28 +261,21 @@ def _atom_rewritings(
                                     (atom, filler_atom),
                                     (_atom_for(axiom.lhs, subject),),
                                 )
-            elif isinstance(rhs, AttributeDomain):
-                name = rhs.attribute.name
-                for atom in atoms_by_pred.get(name, ()):
+            else:  # AttributeDomain
+                for atom in atoms_by_pred[name]:
                     if atom.arity == 2 and _is_unbound(atom.args[1], cq, counts):
                         yield _replace(cq, (atom,), (_atom_for(axiom.lhs, atom.args[0]),))
         elif isinstance(axiom, RoleInclusion):
-            rhs_role = axiom.rhs
-            name = (
-                rhs_role.name
-                if isinstance(rhs_role, AtomicRole)
-                else rhs_role.role.name
-            )
-            rhs_inverted = isinstance(rhs_role, InverseRole)
-            for atom in atoms_by_pred.get(name, ()):
-                if atom.arity != 2 or kinds.get(name) != "role":
+            rhs_inverted = isinstance(axiom.rhs, InverseRole)
+            for atom in atoms_by_pred[name]:
+                if atom.arity != 2:
                     continue
                 subject, object_ = atom.args
                 if rhs_inverted:
                     subject, object_ = object_, subject
                 yield _replace(cq, (atom,), (_role_atom(axiom.lhs, subject, object_),))
-        elif isinstance(axiom, AttributeInclusion):
-            for atom in atoms_by_pred.get(axiom.rhs.name, ()):
+        else:  # AttributeInclusion
+            for atom in atoms_by_pred[name]:
                 if atom.arity == 2:
                     yield _replace(cq, (atom,), (Atom(axiom.lhs.name, atom.args),))
 
@@ -256,14 +350,7 @@ def perfect_ref(
     :class:`~repro.errors.TimeoutExceeded` instead of grinding through
     an exponential rewriting past its deadline.
     """
-    kinds: Dict[str, str] = {}
-    for concept in tbox.signature.concepts:
-        kinds[concept.name] = "concept"
-    for role in tbox.signature.roles:
-        kinds[role.name] = "role"
-    for attribute in tbox.signature.attributes:
-        kinds[attribute.name] = "attribute"
-
+    index = _inclusion_index(tbox)
     seen: Dict[object, ConjunctiveQuery] = {}
     worklist: List[ConjunctiveQuery] = []
     for disjunct in map(_merge_duplicates, query):
@@ -277,7 +364,7 @@ def perfect_ref(
             budget.check()
         current = worklist.pop()
         produced = itertools.chain(
-            _atom_rewritings(current, tbox, kinds), _reductions(current)
+            _atom_rewritings(current, index), _reductions(current)
         )
         for candidate in produced:
             key = candidate.canonical()

@@ -23,16 +23,26 @@ CQs, Presto splits the work:
 The output is a :class:`DatalogRewriting`: a program whose size is
 linear in the classification, against PerfectRef's potentially
 exponential UCQ — benchmark E3 measures exactly this gap.
+
+Phase 1's witness set (every entailed ``B ⊑ ∃Q[.A]`` and domain
+inclusion) depends on the classification alone, so it is computed once
+per :class:`~repro.core.classify.Classification` object and memoised
+under weak keys.  Classifications are immutable and shared through
+:class:`~repro.perf.cache.ClassificationCache`, so every query after the
+first reuses the witness TBox and PerfectRef's inclusion index over it.
 """
 
 from __future__ import annotations
 
-import itertools
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...core.classify import Classification
 from ...core.classifier import GraphClassifier
+from ...core.deductive import qualified_inclusions
+from ...dllite.axioms import ConceptInclusion
 from ...dllite.syntax import (
     AtomicAttribute,
     AtomicConcept,
@@ -136,6 +146,51 @@ def _subsumee_rule(aux_name: str, arity: int, subsumee, of_role: bool) -> Option
     return None
 
 
+_WITNESS_LOCK = threading.Lock()
+#: Classification → its witness TBox; weak keys, so a dropped
+#: classification frees its witness set
+_WITNESS_MEMO: "weakref.WeakKeyDictionary[Classification, TBox]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _witness_tbox(classification: Classification) -> TBox:
+    """The witness TBox of *classification*, built on first use.
+
+    It holds every *entailed* inclusion whose right-hand side is an
+    existential (``∃Q``, ``∃Q.A``) or attribute domain, taken straight
+    from the classification closure: with this deductively closed
+    witness set each unbound-variable elimination is a single axiom
+    application, so no hierarchy expansion is ever needed at the UCQ
+    level — filler and role upward-monotonicity is already folded into
+    the axiom set.  A classification never changes, so neither does its
+    witness TBox; PerfectRef's inclusion index over it is built once too.
+    """
+    with _WITNESS_LOCK:
+        witness = _WITNESS_MEMO.get(classification)
+        if witness is None:
+            witness = _build_witness_tbox(classification)
+            _WITNESS_MEMO[classification] = witness
+    return witness
+
+
+def _build_witness_tbox(classification: Classification) -> TBox:
+    graph = classification.graph
+    witness = TBox(name=f"{graph.tbox.name}-witnesses")
+    for node in graph.nodes:
+        if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
+            witness.declare(node)
+    for node in graph.nodes:
+        if isinstance(node, (AtomicRole, InverseRole)):
+            continue
+        for upper in classification.subsumers(node):
+            if upper != node and isinstance(upper, (ExistentialRole, AttributeDomain)):
+                witness.add(ConceptInclusion(node, upper))
+    for axiom in qualified_inclusions(classification):
+        witness.add(axiom)
+    return witness
+
+
 def presto_rewrite(
     query: UnionQuery,
     tbox: TBox,
@@ -145,40 +200,20 @@ def presto_rewrite(
     """Rewrite *query* into a datalog program using the classification.
 
     The existential-elimination phase reuses the PerfectRef loop but over
-    a *hierarchy-free* copy of the TBox (only axioms whose right-hand
-    side is an existential/domain survive), so the UCQ growth stays
-    limited to genuine witness reasoning.  A *budget* bounds both the
-    classification (when computed here) and the rewriting phases.
+    a *hierarchy-free* witness TBox (only entailed axioms whose
+    right-hand side is an existential/domain), so the UCQ growth stays
+    limited to genuine witness reasoning.  The witness TBox is built
+    once per *classification* and reused by every later call.  A
+    *budget* bounds both the classification (when computed here) and
+    the rewriting phases.
     """
     if classification is None:
         classification = GraphClassifier().classify(tbox, watch=budget)
 
-    # Phase 1 — existential elimination only.  The witness TBox contains
-    # every *entailed* inclusion whose right-hand side is an existential
-    # (∃Q, ∃Q.A) or attribute domain, taken straight from the
-    # classification closure: with the deductively-closed witness set,
-    # each unbound-variable elimination is a single axiom application, so
-    # no hierarchy expansion is ever needed at the UCQ level — filler and
-    # role upward-monotonicity is already folded into the axiom set.
-    from ...core.deductive import qualified_inclusions
-    from ...dllite.axioms import ConceptInclusion as _CI
-
-    witness_tbox = TBox(name=f"{tbox.name}-witnesses")
-    for concept in tbox.signature.concepts:
-        witness_tbox.declare(concept)
-    for role in tbox.signature.roles:
-        witness_tbox.declare(role)
-    for attribute in tbox.signature.attributes:
-        witness_tbox.declare(attribute)
-    for node in classification.graph.nodes:
-        if isinstance(node, (AtomicRole, InverseRole)):
-            continue
-        for upper in classification.subsumers(node):
-            if upper != node and isinstance(upper, (ExistentialRole, AttributeDomain)):
-                witness_tbox.add(_CI(node, upper))
-    for axiom in qualified_inclusions(classification):
-        witness_tbox.add(axiom)
-    expanded = perfect_ref(query, witness_tbox, minimize=True, budget=budget)
+    # Phase 1 — existential elimination only, over the witness TBox.
+    expanded = perfect_ref(
+        query, _witness_tbox(classification), minimize=True, budget=budget
+    )
 
     # Phase 2 — hierarchy as flat datalog rules.
     rules: List[DatalogRule] = []

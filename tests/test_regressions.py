@@ -16,14 +16,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.dllite import parse_tbox
+from repro.dllite import AtomicAttribute, parse_tbox
+from repro.obda import Database, MappingAssertion, MappingCollection, TargetAtom
+from repro.obda.mapping import IriTemplate, ValueColumn
+from repro.obda.system import OBDASystem
 from repro.testkit import (
     diff_engines,
     run_metamorphic_checks,
     semantics_soundness,
 )
 
-from tests.test_cell_identity import route_answers
+from tests.test_cell_identity import ROUTES, route_answers
 
 CORPUS = Path(__file__).parent / "regressions"
 FIXTURES = sorted(CORPUS.glob("*.dl"))
@@ -252,3 +255,40 @@ def test_perfectref_regression_reduce_merges_duplicate_atoms():
     assert _names(expected[query]) == {("person/1",), ("person/2",)}
     for label, answers in outcomes.items():
         assert answers == expected, label
+
+
+def test_mixed_type_constants_answer_on_every_route():
+    """A body mixing constant types, ``code(x, 1), code(x, "a")``.
+
+    ``ConjunctiveQuery.canonical`` once keyed constants by their raw
+    value in its second pass, so sorting the atoms compared ``1`` with
+    ``"a"`` and every route raised ``TypeError``.  Constants now key by
+    their string form, the engine's one cell identity: the cell ``"1"``
+    matches the constant ``1``.
+    """
+    tbox = parse_tbox("attribute code, badge\nbadge isa code")
+    database = Database("codes")
+    database.create_table(
+        "codes", ["pid", "code"],
+        [(1, 1), (1, "a"), (2, 1), (4, "a"), (5, "1"), (5, "a")],
+    )
+    database.create_table("badges", ["pid", "badge"], [(3, "a"), (3, 1), (4, 2)])
+    mappings = MappingCollection(
+        MappingAssertion(
+            f"SELECT pid, {attribute} FROM {table}",
+            [
+                TargetAtom(
+                    AtomicAttribute(attribute),
+                    (IriTemplate("person/{pid}"), ValueColumn(attribute)),
+                )
+            ],
+        )
+        for table, attribute in (("codes", "code"), ("badges", "badge"))
+    )
+    query = 'q(x) :- code(x, 1), code(x, "a")'
+    kb = OBDASystem(tbox, abox=mappings.materialize(database))
+    expected = kb.certain_answers(query, method="perfectref")
+    assert _names(expected) == {("person/1",), ("person/3",), ("person/5",)}
+    for label, (options, method) in ROUTES.items():
+        system = OBDASystem(tbox, mappings, database, **options)
+        assert system.certain_answers(query, method=method) == expected, label
