@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import GraphClassifier
-from repro_bench_util import corpus_tbox
+from repro_bench_util import ROUNDS, WARMUP_ROUNDS, corpus_tbox
 
 ROWS = ["Transportation", "DOLCE", "AEO", "Galen", "Mouse"]
 
@@ -22,7 +22,10 @@ def test_unsat_ablation(benchmark, ontology, include_unsat):
     tbox = corpus_tbox(ontology, 1.0)
     classifier = GraphClassifier(include_unsat=include_unsat)
     classification = benchmark.pedantic(
-        lambda: classifier.classify(tbox), rounds=1, iterations=1, warmup_rounds=0
+        lambda: classifier.classify(tbox),
+        rounds=ROUNDS,
+        iterations=1,
+        warmup_rounds=WARMUP_ROUNDS,
     )
     benchmark.extra_info["ontology"] = ontology
     benchmark.extra_info["unsat_predicates"] = len(classification.unsat_ids)

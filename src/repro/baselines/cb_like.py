@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.classify import bitset, count_subsumptions
 from ..dllite.axioms import ConceptInclusion, RoleInclusion
 from ..dllite.syntax import (
-    AtomicConcept,
     ExistentialRole,
     NegatedConcept,
     NegatedRole,
@@ -123,12 +123,10 @@ class ConsequenceBasedReasoner(Reasoner):
         return NamedClassification(frozenset(subsumptions), frozenset())
 
     def measure(self, tbox: TBox, watch: Optional[Stopwatch] = None) -> int:
+        # Counted the way the graph classifier counts, so Figure 1
+        # compares the saturations, not the bookkeeping.
         nodes, closure, concept_ids = self._saturate(tbox, watch)
-        concept_mask = 0
-        for node_id in concept_ids:
-            concept_mask |= 1 << node_id
-        count = 0
-        for node_id in concept_ids:
-            mask = closure[node_id] & concept_mask
-            count += bin(mask).count("1") - (1 if mask >> node_id & 1 else 0)
-        return count
+        concept_mask = bitset(concept_ids, len(nodes))
+        return count_subsumptions(
+            [closure[node_id] for node_id in concept_ids], concept_mask
+        )

@@ -17,7 +17,8 @@ same-sort predicate), and derives the equivalence classes and the direct
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+import sys
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from ..dllite.axioms import (
     AttributeInclusion,
@@ -39,7 +40,63 @@ from .digraph import (
     sort_of,
 )
 
-__all__ = ["Classification", "phi_inclusions", "make_inclusion"]
+__all__ = [
+    "Classification",
+    "bitset",
+    "count_subsumptions",
+    "make_inclusion",
+    "phi_inclusions",
+    "popcount",
+]
+
+#: The expression types that are predicate *names* of the signature.
+NAMED_NODE_TYPES = (AtomicConcept, AtomicRole, AtomicAttribute)
+
+if sys.version_info >= (3, 10):
+
+    def popcount(mask: int) -> int:
+        """Number of set bits of a non-negative integer bitset."""
+        return mask.bit_count()
+
+else:  # pragma: no cover - Python 3.9 has no int.bit_count
+
+    def popcount(mask: int) -> int:
+        """Number of set bits of a non-negative integer bitset."""
+        return bin(mask).count("1")
+
+
+def bitset(ids: Iterable[int], size: int) -> int:
+    """The bitset of *ids* (all below *size*), packed in one linear pass.
+
+    Or-ing ``1 << i`` into a growing integer copies the whole integer per
+    id; filling a byte buffer and converting it once does not.
+    """
+    packed = bytearray((size + 7) >> 3)
+    for node_id in ids:
+        packed[node_id >> 3] |= 1 << (node_id & 7)
+    return int.from_bytes(packed, "little")
+
+
+def count_subsumptions(masks: Sequence[int], within: int) -> int:
+    """The strict subsumptions the subsumer bitsets *masks* hold inside
+    *within*: ``popcount(mask & within)`` summed, less one reflexive pair
+    per mask.  Each mask must contain its own node's bit, and *within*
+    must contain it too.
+
+    Closures share one integer among the members of a strongly connected
+    component (and unsatisfiable predicates share their sort's mask), so
+    the popcounts are memoised on object identity: each distinct bitset
+    is counted once.  *masks* keeps every object alive for the whole
+    call, so an identity is never reused for another mask.
+    """
+    counts: Dict[int, int] = {}
+    total = 0
+    for mask in masks:
+        count = counts.get(id(mask))
+        if count is None:
+            count = counts[id(mask)] = popcount(mask & within)
+        total += count
+    return total - len(masks)
 
 
 def make_inclusion(lhs, rhs) -> Inclusion:
@@ -79,17 +136,23 @@ class Classification:
         self.closure = closure
         self.unsat_ids = frozenset(unsat)
         self._sorts = graph.sorts()
-        self._sort_mask: Dict[str, int] = {
-            CONCEPT_SORT: 0,
-            ROLE_SORT: 0,
-            ATTRIBUTE_SORT: 0,
+        node_count = len(self._sorts)
+        ids_of_sort: Dict[str, List[int]] = {
+            CONCEPT_SORT: [],
+            ROLE_SORT: [],
+            ATTRIBUTE_SORT: [],
         }
         for node_id, sort in enumerate(self._sorts):
-            self._sort_mask[sort] |= 1 << node_id
-        self._named_mask = 0
-        for node_id, node in enumerate(graph.nodes):
-            if isinstance(node, (AtomicConcept, AtomicRole, AtomicAttribute)):
-                self._named_mask |= 1 << node_id
+            ids_of_sort[sort].append(node_id)
+        self._sort_mask: Dict[str, int] = {
+            sort: bitset(ids, node_count) for sort, ids in ids_of_sort.items()
+        }
+        self._named_ids = [
+            node_id
+            for node_id, node in enumerate(graph.nodes)
+            if isinstance(node, NAMED_NODE_TYPES)
+        ]
+        self._named_mask = bitset(self._named_ids, node_count)
 
     # -- basic lookups ---------------------------------------------------------
 
@@ -169,9 +232,7 @@ class Classification:
         *names* of the signature, reflexive pairs omitted.
         """
         nodes = self.graph.nodes
-        for node_id in range(len(nodes)):
-            if named_only and not (self._named_mask >> node_id & 1):
-                continue
+        for node_id in self._named_ids if named_only else range(len(nodes)):
             mask = self._subsumer_mask(node_id)
             if named_only:
                 mask &= self._named_mask
@@ -181,15 +242,19 @@ class Classification:
                 yield make_inclusion(nodes[node_id], nodes[superior_id])
 
     def subsumption_count(self, named_only: bool = True) -> int:
-        count = 0
-        for node_id in range(len(self.graph.nodes)):
-            if named_only and not (self._named_mask >> node_id & 1):
-                continue
-            mask = self._subsumer_mask(node_id)
-            if named_only:
-                mask &= self._named_mask
-            count += bin(mask).count("1") - (1 if mask >> node_id & 1 else 0)
-        return count
+        """``len(list(self.subsumptions(named_only)))``, without building them.
+
+        Every counted node is its own subsumer (closures are reflexive and
+        a sort mask contains all its nodes), as ``count_subsumptions``
+        requires.
+        """
+        if named_only:
+            ids: Iterable[int] = self._named_ids
+            within = self._named_mask
+        else:
+            ids = range(len(self.graph.nodes))
+            within = ~0
+        return count_subsumptions([self._subsumer_mask(i) for i in ids], within)
 
     # -- structure for visualization ---------------------------------------------
 
@@ -257,9 +322,7 @@ def phi_inclusions(
     sorts = graph.sorts()
     result: Set[Inclusion] = set()
     for node_id, node in enumerate(graph.nodes):
-        if named_only and not isinstance(
-            node, (AtomicConcept, AtomicRole, AtomicAttribute)
-        ):
+        if named_only and not isinstance(node, NAMED_NODE_TYPES):
             continue
         mask = closure[node_id]
         while mask:
@@ -271,9 +334,7 @@ def phi_inclusions(
             superior = graph.nodes[superior_id]
             if sorts[superior_id] != sorts[node_id]:
                 continue
-            if named_only and not isinstance(
-                superior, (AtomicConcept, AtomicRole, AtomicAttribute)
-            ):
+            if named_only and not isinstance(superior, NAMED_NODE_TYPES):
                 continue
             result.add(make_inclusion(node, superior))
     return result

@@ -6,8 +6,8 @@ and ``predecessors(S2, G_T*)`` is unsatisfiable (it is subsumed by two
 disjoint predicates).  Predecessor sets are taken reflexively, so a
 self-disjointness ``B ⊑ ¬B`` directly kills ``B`` and everything below it.
 
-The seed is then propagated to a fixpoint with the DL-Lite-specific
-rules that make the result sound *and complete*:
+The seed is then propagated with the DL-Lite-specific rules that make the
+result sound *and complete*:
 
 * a role and its inverse, domain and range stand or fall together:
   ``Q`` unsat ⇔ ``Q⁻`` unsat ⇔ ``∃Q`` unsat ⇔ ``∃Q⁻`` unsat
@@ -19,14 +19,20 @@ rules that make the result sound *and complete*:
   ``B`` (the role case ``Q`` unsat is already covered through the
   ``(B, ∃Q)`` arc and the predecessor rule).
 
-The fixpoint is needed because the qualified-existential rule can create
-new unsatisfiable concepts whose predecessors and role-companions must be
-reconsidered.
+Both steps walk arcs of ``G_T`` rather than its closure.  Each NI
+endpoint's reflexive predecessor set comes from one depth-first search
+over ``graph.predecessors``, memoised per endpoint, and the propagation
+is a single worklist: a node enters it once, when it is first found
+unsatisfiable, and fires the three rules for that node alone.  The
+result is the least set that contains the seed and is closed under the
+rules, reached in time linear in the arcs and rules it touches.  A TBox
+without negative inclusions has no unsatisfiable predicate, so nothing
+is computed at all.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..dllite.axioms import (
     AttributeInclusion,
@@ -34,16 +40,9 @@ from ..dllite.axioms import (
     RoleInclusion,
 )
 from ..dllite.syntax import (
-    AtomicAttribute,
-    AtomicRole,
     AttributeDomain,
     ExistentialRole,
     InverseRole,
-    NegatedAttribute,
-    NegatedConcept,
-    NegatedRole,
-    QualifiedExistential,
-    inverse_of,
 )
 from ..util.timing import Stopwatch
 from .digraph import TBoxDigraph
@@ -56,95 +55,86 @@ def compute_unsat(
     closure: List[int],
     watch: Optional[Stopwatch] = None,
 ) -> FrozenSet[int]:
-    """Return the node ids of every unsatisfiable predicate of the TBox."""
-    node_count = graph.node_count
+    """Return the node ids of every unsatisfiable predicate of the TBox.
 
-    # Predecessor bitsets of the closed graph: preds[j] has bit i set iff
-    # j is reachable from i (reflexive, like the closure itself).  Computed
-    # as the closure of the *reversed* digraph, which reuses the fast
-    # SCC+bitset pass instead of transposing `closure` bit by bit.
-    from .closure import closure_scc_bitset
-
-    preds = closure_scc_bitset(graph.predecessors, watch)
-
-    unsat_mask = 0
+    *closure* is the classifier's forward closure; the predecessor sets
+    needed here are walked on ``graph.predecessors`` instead, so it is
+    not read.
+    """
+    negative_inclusions = graph.tbox.negative_inclusions
+    if not negative_inclusions:
+        return frozenset()
+    predecessors = graph.predecessors
 
     # -- seed: predecessor intersections per negative inclusion ---------------
-    for axiom in graph.tbox.negative_inclusions:
+    subsumees: Dict[int, Set[int]] = {}
+    unsat: Set[int] = set()
+    for axiom in negative_inclusions:
         if watch is not None:
             watch.check_budget()
         if isinstance(axiom, ConceptInclusion):
-            negated: NegatedConcept = axiom.rhs
-            lhs, rhs = axiom.lhs, negated.concept
+            lhs, rhs = axiom.lhs, axiom.rhs.concept
         elif isinstance(axiom, RoleInclusion):
-            negated_role: NegatedRole = axiom.rhs
-            lhs, rhs = axiom.lhs, negated_role.role
+            lhs, rhs = axiom.lhs, axiom.rhs.role
         elif isinstance(axiom, AttributeInclusion):
-            negated_attr: NegatedAttribute = axiom.rhs
-            lhs, rhs = axiom.lhs, negated_attr.attribute
+            lhs, rhs = axiom.lhs, axiom.rhs.attribute
         else:  # pragma: no cover - defensive
             continue
         if lhs not in graph or rhs not in graph:
             continue
-        unsat_mask |= preds[graph.node_id(lhs)] & preds[graph.node_id(rhs)]
+        endpoints = (graph.node_id(lhs), graph.node_id(rhs))
+        for endpoint in endpoints:
+            if endpoint in subsumees:
+                continue
+            reached = {endpoint}
+            stack = [endpoint]
+            while stack:
+                for source in predecessors[stack.pop()]:
+                    if source not in reached:
+                        reached.add(source)
+                        stack.append(source)
+            subsumees[endpoint] = reached
+        unsat |= subsumees[endpoints[0]] & subsumees[endpoints[1]]
+    if not unsat:
+        return frozenset()
 
-    # -- propagation to fixpoint ------------------------------------------------
+    # -- propagation: one worklist over the three rules ------------------------
 
     # Companion groups: {Q, Q⁻, ∃Q, ∃Q⁻} per role, {U, δ(U)} per attribute.
-    companion_groups: List[int] = []
-    for role in graph.tbox.signature.roles:
-        group = 0
-        for expression in (
-            role,
-            InverseRole(role),
-            ExistentialRole(role),
-            ExistentialRole(InverseRole(role)),
-        ):
-            if expression in graph:
-                group |= 1 << graph.node_id(expression)
-        companion_groups.append(group)
-    for attribute in graph.tbox.signature.attributes:
-        group = 0
-        for expression in (attribute, AttributeDomain(attribute)):
-            if expression in graph:
-                group |= 1 << graph.node_id(expression)
-        companion_groups.append(group)
-
-    qualified_axioms = [
-        (axiom.lhs, rhs.role, rhs.filler)
-        for axiom, rhs in graph.tbox.qualified_existentials()
+    companions: Dict[int, Tuple[int, ...]] = {}
+    groups = [
+        (role, InverseRole(role), ExistentialRole(role), ExistentialRole(InverseRole(role)))
+        for role in graph.tbox.signature.roles
+    ] + [
+        (attribute, AttributeDomain(attribute))
+        for attribute in graph.tbox.signature.attributes
     ]
+    for group in groups:
+        group_ids = tuple(graph.node_id(member) for member in group if member in graph)
+        for member_id in group_ids:
+            companions[member_id] = group_ids
 
-    while True:
+    # B ⊑ ∃Q.A: an unsatisfiable filler A makes B unsatisfiable.  An
+    # unsatisfiable Q needs no entry: it takes ∃Q down with it, and B lies
+    # below ∃Q through the digraph's (B, ∃Q) arc.
+    filler_sources: Dict[int, List[int]] = {}
+    for axiom, rhs in graph.tbox.qualified_existentials():
+        filler_sources.setdefault(graph.node_id(rhs.filler), []).append(
+            graph.node_id(axiom.lhs)
+        )
+
+    worklist = list(unsat)
+    while worklist:
         if watch is not None:
             watch.check_budget()
-        previous = unsat_mask
+        node_id = worklist.pop()
+        for implied in (
+            *predecessors[node_id],
+            *companions.get(node_id, ()),
+            *filler_sources.get(node_id, ()),
+        ):
+            if implied not in unsat:
+                unsat.add(implied)
+                worklist.append(implied)
 
-        # Role/attribute companion propagation.
-        for group in companion_groups:
-            if unsat_mask & group:
-                unsat_mask |= group
-
-        # Predecessors of unsatisfiable nodes are unsatisfiable.
-        mask = unsat_mask
-        while mask:
-            low = mask & -mask
-            unsat_mask |= preds[low.bit_length() - 1]
-            mask ^= low
-
-        # B ⊑ ∃Q.A with unsatisfiable filler A (or role Q) makes B unsatisfiable.
-        for lhs, role, filler in qualified_axioms:
-            filler_unsat = unsat_mask >> graph.node_id(filler) & 1
-            role_node = role if not isinstance(role, InverseRole) else role
-            role_unsat = (
-                role_node in graph and unsat_mask >> graph.node_id(role_node) & 1
-            )
-            if filler_unsat or role_unsat:
-                unsat_mask |= 1 << graph.node_id(lhs)
-
-        if unsat_mask == previous:
-            break
-
-    return frozenset(
-        node_id for node_id in range(node_count) if unsat_mask >> node_id & 1
-    )
+    return frozenset(unsat)

@@ -28,7 +28,9 @@ ABORT_TOLERANCE_S = 1.5
 
 #: Per-engine workloads large enough that 10ms is never sufficient.
 ABORT_CASES = [
-    ("quonto-graph", "FMA 3.2.1", 1.0),
+    # The graph classifier's bookkeeping is linear: FMA 3.2.1 at scale 1
+    # classifies in about 15ms, too close to the budget to rely on.
+    ("quonto-graph", "FMA 2.0", 1.0),
     ("cb-consequence", "FMA 3.2.1", 1.0),
     ("saturation", "Galen", 0.1),
     ("tableau-pairwise", "Galen", 0.4),

@@ -1,22 +1,18 @@
 """Unit tests for computeUnsat (Ω_T)."""
 
 from repro.core import GraphClassifier, classify
-from repro.dllite import (
-    AtomicAttribute,
-    AtomicConcept,
-    AtomicRole,
-    AttributeDomain,
-    ExistentialRole,
-    InverseRole,
-    parse_tbox,
-)
+from repro.dllite import AtomicConcept, AtomicRole, parse_tbox
+
+from .test_classify_linear import check_against_references
 
 A = AtomicConcept("A")
 P = AtomicRole("P")
 
 
 def unsat_names(text):
-    classification = classify(parse_tbox(text))
+    tbox = parse_tbox(text)
+    check_against_references(tbox)
+    classification = classify(tbox)
     return {str(node) for node in classification.unsatisfiable()}
 
 
@@ -69,6 +65,8 @@ def test_qualified_filler_unsat_kills_lhs():
 
 
 def test_qualified_cascade_two_levels():
+    # Mid dies through its filler Dead; only then does Top die through
+    # Mid, and Low below Top.  Nothing else does.
     names = unsat_names(
         """
         Dead isa X
@@ -76,9 +74,10 @@ def test_qualified_cascade_two_levels():
         X isa not Y
         Mid isa exists P . Dead
         Top isa exists R . Mid
+        Low isa Top
         """
     )
-    assert {"Dead", "Mid", "Top"} <= names
+    assert names == {"Dead", "Mid", "Top", "Low"}
 
 
 def test_unsat_role_kills_existential_sources():
@@ -86,9 +85,11 @@ def test_unsat_role_kills_existential_sources():
         """
         P isa not P
         B isa exists P
+        D isa exists P^- . C
         """
     )
-    assert {"P", "B"} <= names
+    assert {"P", "B", "D"} <= names
+    assert "C" not in names
 
 
 def test_attribute_domain_unsat_kills_attribute():
@@ -104,8 +105,8 @@ def test_attribute_domain_unsat_kills_attribute():
 
 
 def test_attribute_disjointness():
-    names = unsat_names("attribute u, v\nu isa v\nu isa not v")
-    assert "u" in names and "δ(u)" in names
+    names = unsat_names("attribute u, v\nu isa v\nu isa not v\nC isa domain(u)")
+    assert "u" in names and "δ(u)" in names and "C" in names
     assert "v" not in names
 
 
