@@ -119,6 +119,11 @@ class TBox:
         #: the graphical design "can be enriched with auxiliary
         #: documentation regarding the design choices that were made").
         self._annotations: Dict[Axiom, str] = {}
+        #: (generation, PIs, NIs) — the filtered views, rebuilt on the
+        #: first access after a mutation instead of on every access.
+        self._inclusion_views: Optional[
+            Tuple[int, Tuple[Axiom, ...], Tuple[Axiom, ...]]
+        ] = None
         for axiom in axioms:
             self.add(axiom)
 
@@ -223,15 +228,33 @@ class TBox:
             if isinstance(a, (FunctionalRole, FunctionalAttribute))
         ]
 
-    @property
-    def positive_inclusions(self) -> List[Axiom]:
-        """The PIs of the TBox — the paper's Φ_T is computed from these only."""
-        return [a for a in self._axioms if a.is_positive]
+    def _views(self) -> Tuple[int, Tuple[Axiom, ...], Tuple[Axiom, ...]]:
+        """The PI and NI views of the current generation, built on demand.
+
+        Generation and axiom list are read under the mutation lock, so a
+        view is never filed under a generation it does not match.
+        """
+        with self._lock:
+            views = self._inclusion_views
+            if views is None or views[0] != self._generation:
+                axioms = self._axioms
+                views = (
+                    self._generation,
+                    tuple(a for a in axioms if a.is_positive),
+                    tuple(a for a in axioms if a.is_negative),
+                )
+                self._inclusion_views = views
+            return views
 
     @property
-    def negative_inclusions(self) -> List[Axiom]:
+    def positive_inclusions(self) -> Tuple[Axiom, ...]:
+        """The PIs of the TBox — the paper's Φ_T is computed from these only."""
+        return self._views()[1]
+
+    @property
+    def negative_inclusions(self) -> Tuple[Axiom, ...]:
         """The NIs (disjointness axioms) — input of ``computeUnsat``."""
-        return [a for a in self._axioms if a.is_negative]
+        return self._views()[2]
 
     def qualified_existentials(self) -> Iterator[Tuple[ConceptInclusion, QualifiedExistential]]:
         """Yield every PI whose right-hand side is a qualified existential."""

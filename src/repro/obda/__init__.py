@@ -6,8 +6,8 @@ from .datalog import Program, ProgramExtents, Rule, evaluate_program
 from .eql import EqlAnd, EqlExists, EqlNot, EqlOr, EqlQuery, KAtom, evaluate_eql
 from .evaluation import (
     ABoxExtents,
-    DatalogExtents,
     ExtentProvider,
+    HierarchyExtents,
     MappingExtents,
     evaluate_cq,
     evaluate_ucq,
@@ -46,7 +46,6 @@ __all__ = [
     "ConjunctiveQuery",
     "Constant",
     "Database",
-    "DatalogExtents",
     "EqlAnd",
     "EqlExists",
     "EqlNot",
@@ -56,6 +55,7 @@ __all__ = [
     "KAtom",
     "DatalogRewriting",
     "ExtentProvider",
+    "HierarchyExtents",
     "IriTemplate",
     "MappingAssertion",
     "MappingCollection",

@@ -8,8 +8,13 @@ A UCQ produced by a rewriter is evaluated against *extent providers*:
   **across queries** and invalidated by the database's generation
   counter (or explicitly via :meth:`ExtentProvider.invalidate`), so a
   workload of many queries pulls each predicate from the sources once;
-* :class:`DatalogExtents` — wraps another provider with the auxiliary
-  predicates of a Presto :class:`~repro.obda.rewriting.presto.DatalogRewriting`.
+* :class:`HierarchyExtents` — *H-complete* extents over another
+  provider: each auxiliary ``p*`` of a Presto rewriting is the union of
+  the base extents of ``p``'s classified subsumees, read from the rule
+  memo of :func:`~repro.obda.rewriting.presto.hierarchy_rules`.  It
+  depends on the classification and the data only, not on the query, so
+  one provider per classification serves every Presto query and each
+  ``p*`` (and its hash indexes) is built once per data generation.
 
 Conjunctive queries are evaluated by a backtracking join that orders
 atoms greedily by current extent size and probes each later atom through
@@ -17,7 +22,7 @@ a **per-argument-position hash index** keyed on
 :func:`~repro.obda.sql.stats.cell_key` — the string form that names
 individuals, so a query constant ``"person/1"`` meets the individual
 ``person/1`` in its one bucket.  Indexes are built lazily and
-cached *on the provider* (keyed by predicate and key positions), so
+cached *on the provider* (keyed by predicate, arity and key positions), so
 repeated and structurally similar queries share index-construction work
 instead of re-hashing full extents per query.  Index construction polls
 the budget and installs the index only on completion, so a timeout never
@@ -36,6 +41,7 @@ from ..obs.trace import current_tracer
 from ..runtime.budget import Budget
 from .mapping import MappingCollection
 from .queries import Atom, Constant, ConjunctiveQuery, UnionQuery, Variable
+from .rewriting.presto import hierarchy_rules
 from .sql.database import Database
 from .sql.stats import cell_key, join_key
 
@@ -43,13 +49,14 @@ __all__ = [
     "ExtentProvider",
     "ABoxExtents",
     "MappingExtents",
-    "DatalogExtents",
+    "HierarchyExtents",
     "evaluate_cq",
     "evaluate_ucq",
 ]
 
-#: predicate name + key argument positions — one hash index per pair
-IndexKey = Tuple[str, Tuple[int, ...]]
+#: predicate name, arity and key argument positions — one hash index
+#: each (the arity, because a concept and a role may share a name)
+IndexKey = Tuple[str, int, Tuple[int, ...]]
 
 
 class ExtentProvider:
@@ -113,7 +120,7 @@ class ExtentProvider:
         raised :class:`~repro.errors.TimeoutExceeded`.
         """
         lock = self._sync_lock()
-        key: IndexKey = (predicate, positions)
+        key: IndexKey = (predicate, arity, positions)
         with lock:
             generation = self.generation()
             cache: Optional[Dict[IndexKey, Dict]] = self.__dict__.get("_index_cache")
@@ -160,7 +167,7 @@ class ABoxExtents(ExtentProvider):
 
     def __init__(self, abox: ABox):
         self.abox = abox
-        self._cache: Dict[str, Set[Tuple]] = {}
+        self._cache: Dict[Tuple[str, int], Set[Tuple]] = {}
         self._generation = self._abox_generation()
 
     def _abox_generation(self) -> int:
@@ -181,7 +188,7 @@ class ABoxExtents(ExtentProvider):
             if self._abox_generation() != self._generation:
                 self.invalidate()
             cache = self._cache
-            cached = cache.get(predicate)
+            cached = cache.get((predicate, arity))
         if cached is not None:
             return cached
         if arity == 1:
@@ -194,8 +201,7 @@ class ABoxExtents(ExtentProvider):
             extent |= self.abox.attribute_pairs(AtomicAttribute(predicate))
         with self._sync_lock():
             if self._cache is cache:  # snapshot still current — memoize
-                cache.setdefault(predicate, extent)
-                return cache[predicate]
+                return cache.setdefault((predicate, arity), extent)
         return extent
 
 
@@ -249,21 +255,30 @@ class MappingExtents(ExtentProvider):
         return pulled
 
 
-class DatalogExtents(ExtentProvider):
-    """Auxiliary predicates of a datalog rewriting over a base provider.
+class HierarchyExtents(ExtentProvider):
+    """H-complete extents: the data closed under the classified hierarchy.
 
-    All rules are flat (single base atom bodies over ``x``/``y``), so an
-    auxiliary extent is a union of base extents with optional argument
-    swapping and projection.  Derived extents are cached and revalidated
-    against the *base* provider's generation, so database changes
-    propagate through the whole provider stack.
+    An auxiliary predicate ``p*`` of a Presto rewriting is served as the
+    union of the base extents of ``p``'s classified subsumees (one flat
+    rule each, with optional argument swapping and projection); every
+    other predicate passes through to *base*.  The extents depend on the
+    classification and the data, not on the query, so one provider per
+    classification is shared by every query: each ``p*`` is built once
+    per base generation, and the hash indexes
+    :meth:`ExtentProvider.index` caches on it outlive a single query.
+    Derived extents are cached copy-on-write, keyed by predicate and
+    arity, and revalidated against the *base* generation, so database
+    changes propagate through the whole provider stack.
     """
 
-    def __init__(self, rewriting, base: ExtentProvider):
-        self.rewriting = rewriting
+    def __init__(self, classification, base: ExtentProvider):
+        self.classification = classification
         self.base = base
-        self._cache: Dict[str, Set[Tuple]] = {}
+        self._cache: Dict[Tuple[str, int], Set[Tuple]] = {}
         self._base_generation = base.generation()
+        #: (predicate, arity) → times its H-complete extent was built;
+        #: the regression tests count materialisations with it.
+        self.builds: Dict[Tuple[str, int], int] = {}
 
     def generation(self) -> int:
         return self.base.generation()
@@ -276,36 +291,28 @@ class DatalogExtents(ExtentProvider):
             super().invalidate()
 
     def extent(self, predicate: str, arity: int) -> Set[Tuple]:
+        rules = hierarchy_rules(self.classification, predicate, arity)
+        if rules is None:
+            return self.base.extent(predicate, arity)
+        key = (predicate, arity)
         with self._sync_lock():
             if self.base.generation() != self._base_generation:
                 self.invalidate()
             cache = self._cache
-        rules = self.rewriting.rules_by_head.get(predicate)
-        if rules is None:
-            return self.base.extent(predicate, arity)
-        cached = cache.get(predicate)
+            cached = cache.get(key)
         if cached is not None:
             return cached
         result: Set[Tuple] = set()
         for rule in rules:
             body_atom = rule.body[0]
             base_rows = self.base.extent(body_atom.predicate, body_atom.arity)
-            head_args = rule.head.args
-            body_args = body_atom.args
-            position = {
-                term: index
-                for index, term in enumerate(body_args)
-                if isinstance(term, Variable)
-            }
-            indices = [position[arg] for arg in head_args if arg in position]
-            if len(indices) != len(head_args):
-                continue  # head variable not bound by the body — vacuous rule
+            indices = [body_atom.args.index(arg) for arg in rule.head.args]
             for row in base_rows:
                 result.add(tuple(row[i] for i in indices))
         with self._sync_lock():
+            self.builds[key] = self.builds.get(key, 0) + 1
             if self._cache is cache:  # snapshot still current — memoize
-                cache.setdefault(predicate, result)
-                return cache[predicate]
+                return cache.setdefault(key, result)
         return result
 
 

@@ -25,11 +25,15 @@ linear in the classification, against PerfectRef's potentially
 exponential UCQ — benchmark E3 measures exactly this gap.
 
 Phase 1's witness set (every entailed ``B ⊑ ∃Q[.A]`` and domain
-inclusion) depends on the classification alone, so it is computed once
-per :class:`~repro.core.classify.Classification` object and memoised
-under weak keys.  Classifications are immutable and shared through
+inclusion) and phase 2's flat rules for each ``p*`` depend on the
+classification alone, so both are computed once per
+:class:`~repro.core.classify.Classification` object and memoised under
+weak keys.  Classifications are immutable and shared through
 :class:`~repro.perf.cache.ClassificationCache`, so every query after the
-first reuses the witness TBox and PerfectRef's inclusion index over it.
+first reuses the witness TBox, PerfectRef's inclusion index over it and
+the rules of every ``p*`` it has already needed.  The same rule memo
+feeds :class:`~repro.obda.evaluation.HierarchyExtents`, which serves
+each ``p*`` as one H-complete extent shared by every query.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from ...runtime.budget import Budget
 from ..queries import Atom, ConjunctiveQuery, UnionQuery, Variable
 from .perfectref import perfect_ref
 
-__all__ = ["DatalogRule", "DatalogRewriting", "presto_rewrite"]
+__all__ = ["DatalogRule", "DatalogRewriting", "hierarchy_rules", "presto_rewrite"]
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,6 @@ class DatalogRewriting:
     def __init__(self, ucq: UnionQuery, rules: Sequence[DatalogRule]):
         self.ucq = ucq
         self.rules = list(rules)
-        self.rules_by_head: Dict[str, List[DatalogRule]] = {}
-        for rule in self.rules:
-            self.rules_by_head.setdefault(rule.head.predicate, []).append(rule)
 
     @property
     def size(self) -> int:
@@ -93,16 +94,16 @@ class DatalogRewriting:
         )
 
     def auxiliary_predicates(self) -> Set[str]:
-        return set(self.rules_by_head)
+        return {rule.head.predicate for rule in self.rules}
 
     def as_program(self):
         """The rewriting as a general datalog :class:`~repro.obda.datalog.Program`.
 
-        Presto rules are flat by construction, so the fast
-        :class:`~repro.obda.evaluation.DatalogExtents` provider suffices
-        for evaluation; this view exists for interoperability with the
-        semi-naive engine (and is cross-checked against the fast path in
-        the test-suite).
+        Presto rules are flat by construction, so the H-complete
+        :class:`~repro.obda.evaluation.HierarchyExtents` provider
+        evaluates them straight from the classification; this view exists
+        for interoperability with the semi-naive engine (and is
+        cross-checked against that provider in the test-suite).
         """
         from ..datalog import Program, Rule as DatalogRule_
 
@@ -191,6 +192,62 @@ def _build_witness_tbox(classification: Classification) -> TBox:
     return witness
 
 
+#: (aux name, arity) → the rules of that ``p*`` (``None``: not classified)
+_RuleTable = Dict[Tuple[str, int], Optional[Tuple[DatalogRule, ...]]]
+
+_RULES_LOCK = threading.Lock()
+#: Classification → its rule table; weak keys, like the witness memo
+_RULES_MEMO: "weakref.WeakKeyDictionary[Classification, _RuleTable]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def hierarchy_rules(
+    classification: Classification, aux: str, arity: int
+) -> Optional[Tuple[DatalogRule, ...]]:
+    """The flat rules defining *aux* (``p*``) under *classification*.
+
+    One rule per classified subsumee of ``p``, sorted as phase 2 of
+    :func:`presto_rewrite` emits them; ``None`` when ``p`` is no
+    predicate of the classified digraph (or *aux* is not starred).  The
+    key carries the arity because a concept and a role may share a name.
+    Computed on first use and memoised per classification, so each
+    predicate's subsumees are enumerated once, not once per query.
+    """
+    if not aux.endswith("*"):
+        return None
+    key = (aux, arity)
+    with _RULES_LOCK:
+        memo = _RULES_MEMO.get(classification)
+        if memo is None:
+            memo = _RULES_MEMO[classification] = {}
+        elif key in memo:
+            return memo[key]
+    rules = _build_hierarchy_rules(classification, aux, arity)
+    with _RULES_LOCK:
+        return memo.setdefault(key, rules)
+
+
+def _build_hierarchy_rules(
+    classification: Classification, aux: str, arity: int
+) -> Optional[Tuple[DatalogRule, ...]]:
+    name = aux[:-1]
+    graph = classification.graph
+    candidates = (
+        [(AtomicConcept(name), False)]
+        if arity == 1
+        else [(AtomicRole(name), True), (AtomicAttribute(name), False)]
+    )
+    for node, of_role in candidates:
+        if node in graph:
+            rules = (
+                _subsumee_rule(aux, arity, subsumee, of_role)
+                for subsumee in sorted(classification.subsumees(node), key=str)
+            )
+            return tuple(rule for rule in rules if rule is not None)
+    return None
+
+
 def presto_rewrite(
     query: UnionQuery,
     tbox: TBox,
@@ -202,8 +259,9 @@ def presto_rewrite(
     The existential-elimination phase reuses the PerfectRef loop but over
     a *hierarchy-free* witness TBox (only entailed axioms whose
     right-hand side is an existential/domain), so the UCQ growth stays
-    limited to genuine witness reasoning.  The witness TBox is built
-    once per *classification* and reused by every later call.  A
+    limited to genuine witness reasoning.  The witness TBox and each
+    ``p*``'s rules are built once per *classification* and reused by
+    every later call.  A
     *budget* bounds both the classification (when computed here) and
     the rewriting phases.
     """
@@ -215,46 +273,41 @@ def presto_rewrite(
         query, _witness_tbox(classification), minimize=True, budget=budget
     )
 
-    # Phase 2 — hierarchy as flat datalog rules.
+    # Phase 2 — hierarchy as flat datalog rules, read from the memo.
     rules: List[DatalogRule] = []
-    needed: Dict[str, Tuple[object, int, bool]] = {}
+    needed: Set[Tuple[str, int]] = set()
     rewritten_disjuncts: List[ConjunctiveQuery] = []
     for disjunct in expanded:
         atoms = []
         for atom in disjunct.atoms:
-            node, arity, of_role = _predicate_node(atom, tbox)
-            if node is None or node not in classification.graph:
+            if not _is_classified(atom, tbox, classification):
                 atoms.append(atom)  # unknown predicate: keep as base atom
                 continue
             aux = f"{atom.predicate}*"
-            needed.setdefault(aux, (node, arity, of_role))
+            needed.add((aux, atom.arity))
             atoms.append(Atom(aux, atom.args))
         rewritten_disjuncts.append(
             ConjunctiveQuery(disjunct.answer_vars, atoms, disjunct.name)
         )
 
-    for aux, (node, arity, of_role) in sorted(needed.items()):
+    for aux, arity in sorted(needed):
         if budget is not None:
             budget.check()
-        for subsumee in sorted(classification.subsumees(node), key=str):
-            rule = _subsumee_rule(aux, arity, subsumee, of_role)
-            if rule is not None:
-                rules.append(rule)
+        rules.extend(hierarchy_rules(classification, aux, arity) or ())
 
     return DatalogRewriting(UnionQuery(rewritten_disjuncts, query.name), rules)
 
 
-def _predicate_node(atom: Atom, tbox: TBox):
-    """Resolve an atom's predicate to its digraph node, arity and sort."""
+def _is_classified(atom: Atom, tbox: TBox, classification: Classification) -> bool:
+    """Whether the atom's predicate is in *tbox*'s signature and classified."""
     if atom.arity == 1:
-        concept = AtomicConcept(atom.predicate)
-        if concept in tbox.signature.concepts:
-            return concept, 1, False
-        return None, 1, False
-    role = AtomicRole(atom.predicate)
-    if role in tbox.signature.roles:
-        return role, 2, True
-    attribute = AtomicAttribute(atom.predicate)
-    if attribute in tbox.signature.attributes:
-        return attribute, 2, False
-    return None, 2, False
+        candidates = [(AtomicConcept(atom.predicate), tbox.signature.concepts)]
+    else:
+        candidates = [
+            (AtomicRole(atom.predicate), tbox.signature.roles),
+            (AtomicAttribute(atom.predicate), tbox.signature.attributes),
+        ]
+    for node, declared in candidates:
+        if node in declared:
+            return node in classification.graph
+    return False

@@ -15,10 +15,15 @@ Query answering methods:
 * ``"perfectref-sql"`` — same rewriting, but *unfolded* into source-level
   SQL algebra and executed by the relational engine (the textbook OBDA
   pipeline);
+* ``"perfectref-sqlite"`` — same unfolding, pushed down to SQLite as
+  one statement;
 * ``"presto"`` — classification-driven datalog rewriting (the paper's
-  motivation for fast classification), evaluated over virtual extents.
+  motivation for fast classification), evaluated over H-complete
+  extents: each ``p*`` is the union of its classified subsumees' virtual
+  extents, built once per (classification, data generation) and shared
+  by every Presto query.
 
-All three return the same certain answers; the test-suite asserts it.
+All four return the same certain answers; the test-suite asserts it.
 
 Consistency checking follows the standard reduction: every negative
 inclusion becomes a boolean violation query (rewritten, so inferred
@@ -29,7 +34,7 @@ rewritten extent of its role/attribute.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..core.classifier import GraphClassifier
 from ..core.classify import Classification
@@ -57,8 +62,8 @@ from ..runtime.execution import ExecutionContext
 from .constraints import ExtensionalConstraints, prune_ucq_with_constraints
 from .evaluation import (
     ABoxExtents,
-    DatalogExtents,
     ExtentProvider,
+    HierarchyExtents,
     MappingExtents,
     evaluate_ucq,
 )
@@ -114,7 +119,10 @@ class OBDASystem:
       (same shape, renamed variables, reordered atoms) share entries;
     * the extent provider is shared across queries, with hash-join
       indexes cached per predicate and invalidated by the database's
-      generation counter.
+      generation counter;
+    * Presto's H-complete extents (:meth:`hierarchy_extents`) are one
+      provider per classification, so each ``p*`` is built once per
+      data generation whatever the query.
 
     All caches are validated against the TBox/data generation counters
     on every use and only ever store *completed* results (a budget abort
@@ -168,6 +176,7 @@ class OBDASystem:
         self._classification_generation: Optional[int] = None
         self._violation_rewritings: Optional[List[Tuple[str, UnionQuery]]] = None
         self._shared_extents: Optional[ExtentProvider] = None
+        self._hierarchy_extents: Optional[HierarchyExtents] = None
         self._tbox_generation = getattr(tbox, "generation", 0)
         if enable_caches:
             from ..perf import LRUCache, shared_classification_cache
@@ -183,14 +192,12 @@ class OBDASystem:
             self._rewriting_cache = LRUCache(cache_size, name="rewriting")
             self._unfolding_cache = LRUCache(cache_size, name="unfolding")
             self._answer_cache = LRUCache(cache_size, name="answers")
-            self._datalog_extents = LRUCache(cache_size, name="datalog-extents")
             self._consistency_cache: Dict[Tuple[int, int], List[str]] = {}
         else:
             self._classification_cache = None
             self._rewriting_cache = None
             self._unfolding_cache = None
             self._answer_cache = None
-            self._datalog_extents = None
             self._consistency_cache = None
         #: cumulative subsumption-pruning counters (see repro.perf.prune)
         self.pruning_stats: Dict[str, int] = {"before": 0, "after": 0, "rewrites": 0}
@@ -229,7 +236,6 @@ class OBDASystem:
                 self._rewriting_cache.invalidate()
                 self._unfolding_cache.invalidate()
                 self._answer_cache.invalidate()
-                self._datalog_extents.invalidate()
                 self._consistency_cache = {}
 
     def invalidate_caches(self) -> None:
@@ -246,13 +252,13 @@ class OBDASystem:
             self._violation_rewritings = None
             if self._shared_extents is not None:
                 self._shared_extents.invalidate()
+            self._hierarchy_extents = None
             if self._sql_backend is not None:
                 self._sql_backend.invalidate()
             if self.enable_caches:
                 self._rewriting_cache.invalidate()
                 self._unfolding_cache.invalidate()
                 self._answer_cache.invalidate()
-                self._datalog_extents.invalidate()
                 self._consistency_cache = {}
 
     def cache_stats(self) -> Dict[str, Dict[str, object]]:
@@ -398,6 +404,28 @@ class OBDASystem:
         if context is not None:
             provider = context.wrap_extents(provider)
         return provider
+
+    def hierarchy_extents(
+        self, context: Optional[ExecutionContext] = None
+    ) -> HierarchyExtents:
+        """The H-complete extents Presto rewritings are evaluated over.
+
+        With caches enabled and no retry policy, one provider per
+        classification is shared by every query: it is built on first
+        use and replaced when the classification object changes, and it
+        revalidates its ``p*`` extents against the data generation
+        itself.  Retry contexts and cache-free systems get a fresh,
+        unshared provider over the context-wrapped extents.
+        """
+        classification = self.classification
+        if not self.enable_caches or (context is not None and context.retry is not None):
+            return HierarchyExtents(classification, self.extents(context))
+        with self._lock:
+            provider = self._hierarchy_extents
+            if provider is None or provider.classification is not classification:
+                provider = HierarchyExtents(classification, self.extents())
+                self._hierarchy_extents = provider
+            return provider
 
     def _as_ucq(self, query: Union[str, UnionQuery, ConjunctiveQuery]) -> UnionQuery:
         if isinstance(query, str):
@@ -612,21 +640,11 @@ class OBDASystem:
             rewriting = self.rewrite(
                 ucq, method="presto", budget=context.scoped(f"rewrite:{label}")
             )
-            provider = None
-            if self.enable_caches and context.retry is None:
-                # Reuse the derived auxiliary extents across queries; the
-                # provider revalidates against the base generation itself.
-                provider = self._datalog_extents.get(answer_key[0])
-                if provider is None or provider.rewriting is not rewriting:
-                    provider = DatalogExtents(rewriting, self.extents())
-                    self._datalog_extents.put(answer_key[0], provider)
-            else:
-                provider = DatalogExtents(rewriting, self.extents(context))
             with tracer.span("evaluate") as span:
                 span.set("disjuncts", len(rewriting.ucq))
                 answers = evaluate_ucq(
                     rewriting.ucq,
-                    provider,
+                    self.hierarchy_extents(context),
                     budget=context.scoped(f"evaluate:{label}"),
                 )
                 span.set("answers", len(answers))

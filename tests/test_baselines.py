@@ -13,7 +13,6 @@ from repro.baselines import (
     NamedClassification,
     PairwiseTableauReasoner,
     REASONER_FACTORIES,
-    SaturationReasoner,
     make_reasoner,
 )
 from repro.dllite import (
@@ -103,6 +102,28 @@ def test_timeout_budget_respected():
     tbox = load_profile("Transportation")
     with pytest.raises(TimeoutExceeded):
         PairwiseTableauReasoner().classify_named(tbox, watch=Stopwatch(budget_s=0.0))
+
+
+def test_graph_reasoner_polls_budget_while_listing_subsumptions(monkeypatch):
+    """A budget that runs out only after ``classify`` returns still stops
+    the enumeration of the named subsumptions (no wall-clock threshold)."""
+    # a 61-concept chain: 1830 named subsumptions, more than one tick stride
+    tbox = parse_tbox("\n".join(f"C{i} isa C{i + 1}" for i in range(60)))
+    reasoner = GraphReasoner()
+    watch = Stopwatch(budget_s=3600.0, task="quonto-graph listing")
+    classify = reasoner._classifier.classify
+
+    def classify_then_exhaust(tbox, watch=None):
+        classification = classify(tbox, watch=watch)
+        watch.budget_s = -1.0  # every later poll now raises
+        return classification
+
+    monkeypatch.setattr(reasoner._classifier, "classify", classify_then_exhaust)
+    with pytest.raises(TimeoutExceeded):
+        reasoner.classify_named(tbox, watch=watch)
+    # unbudgeted, the same reasoner lists them all
+    monkeypatch.undo()
+    assert len(reasoner.classify_named(tbox)) == 1830
 
 
 def test_registry_contents():

@@ -325,3 +325,46 @@ def test_hammer_presto_agrees_with_serial_oracle():
     assert system.certain_answers(
         "q(x) :- Person(x)", method="presto", check_consistency=False
     ) == oracle.certain_answers("q(x) :- Person(x)", check_consistency=False)
+
+
+def test_hammer_presto_distinct_queries_with_inserts_agree_with_oracle():
+    """Threads ask distinct, unseen Presto queries against the one shared
+    H-complete provider while others insert; after quiescing every query
+    matches a cache-free PerfectRef oracle over the final state."""
+    system, tbox, abox = _hammer_system()
+    shapes = [
+        "q(x) :- Person(x), teaches(x, '{c}')",
+        "q(x) :- Professor(x), teaches(x, '{c}')",
+        "q(x) :- teaches(x, '{c}')",
+        "q(x) :- Person(x)",
+        "q(x, y) :- Person(x), teaches(x, y)",
+    ]
+    asked = set()
+
+    def work(index):
+        for turn in range(12):
+            if turn % 3 == 0:
+                abox.add(ConceptAssertion(_PROFESSOR, Individual(f"t{index}_{turn}")))
+                abox.add(
+                    RoleAssertion(
+                        _TEACHES, Individual(f"t{index}_{turn}"), Individual(f"c{turn}")
+                    )
+                )
+            else:
+                query = shapes[(index + turn) % len(shapes)].format(c=f"c{turn}")
+                asked.add(query)
+                system.certain_answers(
+                    query, method="presto", check_consistency=False
+                )
+
+    _run_threads(work)
+    oracle = OBDASystem(
+        TBox(list(tbox.axioms), name="oracle"),
+        abox=abox.copy(),
+        enable_caches=False,
+    )
+    assert len(asked) > len(shapes)
+    for query in sorted(asked):
+        assert system.certain_answers(
+            query, method="presto", check_consistency=False
+        ) == oracle.certain_answers(query, check_consistency=False), query

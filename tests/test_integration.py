@@ -17,7 +17,7 @@ from repro.approximation import (
 )
 from repro.approximation.owl import And, OwlClass, Some
 from repro.baselines import make_reasoner
-from repro.core import GraphClassifier, classify
+from repro.core import classify
 from repro.corpus import load_profile
 from repro.dllite import (
     ABox,
@@ -39,8 +39,8 @@ from repro.graphical import (
 )
 from repro.obda import (
     ABoxExtents,
-    DatalogExtents,
     Database,
+    HierarchyExtents,
     MappingAssertion,
     MappingCollection,
     OBDASystem,
@@ -49,7 +49,6 @@ from repro.obda import (
     parse_query,
     perfect_ref,
     presto_rewrite,
-    unfold,
 )
 from repro.obda.mapping import IriTemplate
 from tests.conftest import make_random_tbox
@@ -140,7 +139,9 @@ def test_rewriting_methods_agree_on_random_instances(seed):
         query = parse_query(query_text)
         via_pr = evaluate_ucq(perfect_ref(query, tbox), extents)
         datalog = presto_rewrite(query, tbox)
-        via_presto = evaluate_ucq(datalog.ucq, DatalogExtents(datalog, extents))
+        via_presto = evaluate_ucq(
+            datalog.ucq, HierarchyExtents(classify(tbox), extents)
+        )
         assert via_pr == via_presto, (query_text, seed)
 
 

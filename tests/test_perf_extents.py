@@ -110,7 +110,7 @@ def test_budget_abort_during_index_build_installs_nothing():
     expired = Budget(0.0, task="index")
     with pytest.raises(TimeoutExceeded):
         provider.index("P", 2, (0,), budget=expired)
-    assert ("P", (0,)) not in provider._index_cache
+    assert ("P", 2, (0,)) not in provider._index_cache
     # the next (funded) build succeeds and is complete
     index = provider.index("P", 2, (0,))
     assert sum(len(rows) for rows in index.values()) == 1200

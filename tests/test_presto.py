@@ -1,20 +1,19 @@
 """Unit tests for the Presto-style datalog rewriter."""
 
-import random
-
 import pytest
 
+from repro.core import classify
 from repro.dllite import ABox, parse_tbox
+from repro.dllite.abox import ConceptAssertion, Individual, RoleAssertion
+from repro.dllite.syntax import AtomicConcept, AtomicRole
 from repro.obda import (
     ABoxExtents,
-    DatalogExtents,
+    HierarchyExtents,
     evaluate_ucq,
     parse_query,
     perfect_ref,
     presto_rewrite,
 )
-from repro.dllite.abox import ConceptAssertion, Individual, RoleAssertion
-from repro.dllite.syntax import AtomicConcept, AtomicRole
 
 
 def test_hierarchy_goes_to_rules_not_disjuncts():
@@ -87,7 +86,7 @@ def test_presto_equals_perfectref_on_university(query_text):
     via_perfectref = evaluate_ucq(perfect_ref(query, tbox), ABoxExtents(abox))
     datalog = presto_rewrite(query, tbox)
     via_presto = evaluate_ucq(
-        datalog.ucq, DatalogExtents(datalog, ABoxExtents(abox))
+        datalog.ucq, HierarchyExtents(classify(tbox), ABoxExtents(abox))
     )
     assert via_presto == via_perfectref
 
@@ -108,7 +107,7 @@ def test_as_program_matches_flat_evaluation():
     query = parse_query("q(x) :- Teacher(x)")
     datalog = presto_rewrite(query, tbox)
     base = ABoxExtents(abox)
-    flat = evaluate_ucq(datalog.ucq, DatalogExtents(datalog, base))
+    flat = evaluate_ucq(datalog.ucq, HierarchyExtents(classify(tbox), base))
     general = evaluate_ucq(datalog.ucq, ProgramExtents(datalog.as_program(), base))
     assert flat == general and flat
 
@@ -129,6 +128,8 @@ def test_presto_with_attributes():
     )
     query = parse_query("q(x, v) :- salary(x, v)")
     datalog = presto_rewrite(query, tbox)
-    answers = evaluate_ucq(datalog.ucq, DatalogExtents(datalog, ABoxExtents(abox)))
+    answers = evaluate_ucq(
+        datalog.ucq, HierarchyExtents(classify(tbox), ABoxExtents(abox))
+    )
     reference = evaluate_ucq(perfect_ref(query, tbox), ABoxExtents(abox))
     assert answers == reference == {(Individual("ada"), 10)}
