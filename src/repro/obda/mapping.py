@@ -15,14 +15,21 @@ Unfolding is exposed at two granularities:
 
 * :meth:`MappingCollection.materialize` — the full virtual ABox;
 * :meth:`MappingCollection.predicate_extent` — the extent of one
-  predicate, which is what the query-evaluation join pipeline pulls.
+  predicate, which is what the query-evaluation join pipeline pulls;
+* :meth:`MappingCollection.predicate_delta` — what the rows appended to
+  the sources since a set of per-table watermarks add to that extent.
+  Tables only ever append, and a source that scans one table once
+  (selections, projections and renamings over it) works row by row, so
+  its output on the appended rows is exactly what it gains.  A source
+  that joins tables, or scans one table twice, has no such slice: when
+  one of its tables moves, only a full pull can tell.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..dllite.abox import (
     ABox,
@@ -33,9 +40,20 @@ from ..dllite.abox import (
 )
 from ..dllite.syntax import AtomicAttribute, AtomicConcept, AtomicRole
 from ..errors import MappingError
-from .sql.algebra import Expression, ResultSet, evaluate
+from .sql.algebra import (
+    Expression,
+    Join,
+    Projection,
+    Rename,
+    ResultSet,
+    Scan,
+    Selection,
+    UnionAll,
+    evaluate,
+)
 from .sql.database import Database
 from .sql.sqlparser import parse_sql
+from .sql.table import Table
 
 __all__ = [
     "IriTemplate",
@@ -125,6 +143,40 @@ class TargetAtom:
         return f"{self.predicate}({', '.join(map(str, self.terms))})"
 
 
+def _scanned_tables(expression: Expression) -> Optional[Tuple[str, ...]]:
+    """The tables *expression* scans, once per scan (a self-join names its
+    table twice); ``None`` for a node this walk does not know."""
+    if isinstance(expression, Scan):
+        return (expression.table,)
+    if isinstance(expression, (Selection, Projection, Rename)):
+        return _scanned_tables(expression.source)
+    if isinstance(expression, Join):
+        parts: Tuple[Expression, ...] = (expression.left, expression.right)
+    elif isinstance(expression, UnionAll):
+        parts = expression.parts
+    else:
+        return None
+    tables: Tuple[str, ...] = ()
+    for part in parts:
+        scanned = _scanned_tables(part)
+        if scanned is None:
+            return None
+        tables += scanned
+    return tables
+
+
+class _RowSlice:
+    """Rows ``[start, stop)`` of one table, posing as a database that holds
+    just that table (what a single-scan source reads during a delta)."""
+
+    def __init__(self, table: Table, start: int, stop: int):
+        self.columns = table.columns
+        self.rows = table.rows[start:stop]
+
+    def table(self, name: str) -> "_RowSlice":
+        return self
+
+
 class MappingAssertion:
     """``source query ⤳ target atoms`` (the source may be SQL text or algebra)."""
 
@@ -140,13 +192,39 @@ class MappingAssertion:
         self.targets: Tuple[TargetAtom, ...] = tuple(targets)
         if not self.targets:
             raise MappingError("a mapping assertion needs at least one target atom")
+        #: the tables the source scans, once per scan (None: unknown)
+        self.scans: Optional[Tuple[str, ...]] = _scanned_tables(self.source)
 
     def evaluate_source(self, database: Database) -> ResultSet:
         return evaluate(self.source, database)
 
+    def evaluate_slice(self, database: Database, start: int, stop: int) -> ResultSet:
+        """The source's output over rows ``[start, stop)`` of the one table
+        it scans: selections, projections and renamings over one scan work
+        row by row, so this is exactly what those rows contribute."""
+        if self.scans is None or len(self.scans) != 1:
+            raise MappingError(f"{self!r} scans {self.scans}, not one table once")
+        return evaluate(self.source, _RowSlice(database.table(self.scans[0]), start, stop))
+
     def __repr__(self) -> str:
         label = self.identifier or "mapping"
         return f"<{label}: {len(self.targets)} targets>"
+
+
+def _environments(result: ResultSet) -> Iterator[Dict[str, object]]:
+    """Each row of *result* as column → value, unqualified column names
+    included (templates name bare columns even when the source aliases)."""
+    for row in result.rows:
+        env = dict(zip(result.columns, row))
+        for column, value in list(env.items()):
+            env.setdefault(column.rsplit(".", 1)[-1], value)
+        yield env
+
+
+def _add_target_tuples(extent: Set[Tuple], result: ResultSet, target: TargetAtom) -> None:
+    """Instantiate *target* on every row of *result* into *extent*."""
+    for env in _environments(result):
+        extent.add(tuple(term.apply(env) for term in target.terms))
 
 
 class MappingCollection:
@@ -186,25 +264,66 @@ class MappingCollection:
         """
         extent: Set[Tuple] = set()
         for assertion, target in self._by_predicate.get(predicate_name, ()):
-            result = assertion.evaluate_source(database)
-            for row in result.rows:
-                env = dict(zip(result.columns, row))
-                # also allow unqualified names when the source used aliases
-                for column, value in list(env.items()):
-                    bare = column.rsplit(".", 1)[-1]
-                    env.setdefault(bare, value)
-                extent.add(tuple(term.apply(env) for term in target.terms))
+            _add_target_tuples(extent, assertion.evaluate_source(database), target)
         return extent
+
+    def watermarks(self, database: Database, predicate_name: str) -> Dict[str, int]:
+        """The generation of every table the sources of *predicate_name*
+        scan.  Read before a pull, they mark where its next delta starts."""
+        return {
+            table: database.table(table).generation
+            for assertion, _ in self._by_predicate.get(predicate_name, ())
+            for table in assertion.scans or ()
+        }
+
+    def predicate_delta(
+        self,
+        database: Database,
+        predicate_name: str,
+        watermarks: Dict[str, int],
+    ) -> Optional[Tuple[Set[Tuple], Dict[str, int], int]]:
+        """What the rows appended since *watermarks* add to the extent of
+        *predicate_name*.
+
+        Returns the target tuples of those rows (some may already be in
+        the extent), the new watermarks and the number of source rows
+        run through the assertions; or ``None`` when only a full pull
+        can tell: a source whose scans are unknown, or a source that
+        scans more than one table (or one table twice) reading a table
+        that moved.
+        """
+        sources = self._by_predicate.get(predicate_name, ())
+        if any(assertion.scans is None for assertion, _ in sources):
+            return None
+        current = self.watermarks(database, predicate_name)
+        if current.keys() != watermarks.keys():  # the sources were edited
+            return None
+        moved = {
+            table: (watermarks[table], stop)
+            for table, stop in current.items()
+            if stop != watermarks[table]
+        }
+        touched = [
+            (assertion, target)
+            for assertion, target in sources
+            if not moved.keys().isdisjoint(assertion.scans)
+        ]
+        if any(len(assertion.scans) != 1 for assertion, _ in touched):
+            return None
+        extent: Set[Tuple] = set()
+        rows_read = 0
+        for assertion, target in touched:
+            start, stop = moved[assertion.scans[0]]
+            rows_read += stop - start
+            result = assertion.evaluate_slice(database, start, stop)
+            _add_target_tuples(extent, result, target)
+        return extent, current, rows_read
 
     def materialize(self, database: Database) -> ABox:
         """Build the full virtual ABox (used by the Presto evaluation mode)."""
         abox = ABox()
         for assertion in self.assertions:
-            result = assertion.evaluate_source(database)
-            for row in result.rows:
-                env = dict(zip(result.columns, row))
-                for column, value in list(env.items()):
-                    env.setdefault(column.rsplit(".", 1)[-1], value)
+            for env in _environments(assertion.evaluate_source(database)):
                 for target in assertion.targets:
                     values = tuple(term.apply(env) for term in target.terms)
                     if isinstance(target.predicate, AtomicConcept):

@@ -23,11 +23,16 @@ become unbound, enabling further rewritings.
 The positive inclusions are indexed by right-hand-side predicate once
 per TBox generation, so each derived CQ visits only the inclusions that
 can rewrite one of its atoms, still in TBox order.
+
+Fresh variables are numbered per call, from just above the highest
+``_uN`` already in the input, so rewriting one query twice gives the
+same result, names included.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -64,11 +69,25 @@ class RewritingTooLarge(ReproError):
     """The rewriting exceeded ``max_disjuncts`` (worst case is exponential)."""
 
 
-_fresh_counter = itertools.count()
+_FRESH_NAME = re.compile(r"_u(\d+)")
 
 
-def _fresh_variable() -> Variable:
-    return Variable(f"_u{next(_fresh_counter)}")
+class _FreshNames:
+    """Fresh ``_uN`` variables for one rewriting, numbered above every
+    ``_uN`` its input already uses."""
+
+    def __init__(self, query: UnionQuery):
+        highest = -1
+        for disjunct in query:
+            terms = [*disjunct.answer_vars, *(t for a in disjunct.atoms for t in a.args)]
+            for term in terms:
+                match = isinstance(term, Variable) and _FRESH_NAME.fullmatch(term.name)
+                if match:
+                    highest = max(highest, int(match.group(1)))
+        self._counter = itertools.count(highest + 1)
+
+    def __call__(self) -> Variable:
+        return Variable(f"_u{next(self._counter)}")
 
 
 def _occurrences(cq: ConjunctiveQuery) -> Dict[Variable, int]:
@@ -88,17 +107,17 @@ def _is_unbound(term, cq: ConjunctiveQuery, counts: Dict[Variable, int]) -> bool
     )
 
 
-def _atom_for(basic, term) -> Atom:
+def _atom_for(basic, term, fresh: _FreshNames) -> Atom:
     """The atom asserting membership of *term* in basic concept *basic*."""
     if isinstance(basic, AtomicConcept):
         return Atom(basic.name, (term,))
     if isinstance(basic, ExistentialRole):
         role = basic.role
         if isinstance(role, AtomicRole):
-            return Atom(role.name, (term, _fresh_variable()))
-        return Atom(role.role.name, (_fresh_variable(), term))
+            return Atom(role.name, (term, fresh()))
+        return Atom(role.role.name, (fresh(), term))
     if isinstance(basic, AttributeDomain):
-        return Atom(basic.attribute.name, (term, _fresh_variable()))
+        return Atom(basic.attribute.name, (term, fresh()))
     raise TypeError(f"not a basic concept: {basic!r}")
 
 
@@ -221,7 +240,7 @@ def _inclusion_index(tbox: TBox) -> _InclusionIndex:
 
 
 def _atom_rewritings(
-    cq: ConjunctiveQuery, index: _InclusionIndex
+    cq: ConjunctiveQuery, index: _InclusionIndex, fresh: _FreshNames
 ) -> Iterator[ConjunctiveQuery]:
     counts = _occurrences(cq)
     atoms_by_pred: Dict[str, List[Atom]] = {}
@@ -234,7 +253,7 @@ def _atom_rewritings(
             if isinstance(rhs, AtomicConcept):
                 for atom in atoms_by_pred[name]:
                     if atom.arity == 1:
-                        yield _replace(cq, (atom,), (_atom_for(axiom.lhs, atom.args[0]),))
+                        yield _replace(cq, (atom,), (_atom_for(axiom.lhs, atom.args[0], fresh),))
             elif isinstance(rhs, (ExistentialRole, QualifiedExistential)):
                 inverted = isinstance(rhs.role, InverseRole)
                 for atom in atoms_by_pred[name]:
@@ -245,7 +264,7 @@ def _atom_rewritings(
                         subject, object_ = object_, subject
                     # single-atom rule: filler side unbound
                     if _is_unbound(object_, cq, counts):
-                        yield _replace(cq, (atom,), (_atom_for(axiom.lhs, subject),))
+                        yield _replace(cq, (atom,), (_atom_for(axiom.lhs, subject, fresh),))
                     # two-atom rule for qualified existentials
                     if isinstance(rhs, QualifiedExistential) and isinstance(
                         object_, Variable
@@ -259,12 +278,12 @@ def _atom_rewritings(
                                 yield _replace(
                                     cq,
                                     (atom, filler_atom),
-                                    (_atom_for(axiom.lhs, subject),),
+                                    (_atom_for(axiom.lhs, subject, fresh),),
                                 )
             else:  # AttributeDomain
                 for atom in atoms_by_pred[name]:
                     if atom.arity == 2 and _is_unbound(atom.args[1], cq, counts):
-                        yield _replace(cq, (atom,), (_atom_for(axiom.lhs, atom.args[0]),))
+                        yield _replace(cq, (atom,), (_atom_for(axiom.lhs, atom.args[0], fresh),))
         elif isinstance(axiom, RoleInclusion):
             rhs_inverted = isinstance(axiom.rhs, InverseRole)
             for atom in atoms_by_pred[name]:
@@ -351,6 +370,7 @@ def perfect_ref(
     an exponential rewriting past its deadline.
     """
     index = _inclusion_index(tbox)
+    fresh = _FreshNames(query)
     seen: Dict[object, ConjunctiveQuery] = {}
     worklist: List[ConjunctiveQuery] = []
     for disjunct in map(_merge_duplicates, query):
@@ -364,7 +384,7 @@ def perfect_ref(
             budget.check()
         current = worklist.pop()
         produced = itertools.chain(
-            _atom_rewritings(current, index), _reductions(current)
+            _atom_rewritings(current, index, fresh), _reductions(current)
         )
         for candidate in produced:
             key = candidate.canonical()

@@ -33,14 +33,22 @@ class Database:
     def generation(self) -> int:
         """Monotone counter covering schema *and* row changes.
 
-        :class:`~repro.obda.evaluation.MappingExtents` snapshots this to
-        invalidate its cross-query extent/index caches the moment any
-        table gains rows or the schema changes.
+        :class:`~repro.obda.evaluation.MappingExtents` compares it on
+        every read: while it stands still, nothing is re-read.  When it
+        moves, each cached extent catches up from its per-table
+        watermarks (the tables' own generations) on its next read, and
+        a move of :attr:`structure_generation` forces a full re-pull.
         """
         with self._lock:
             tables = list(self._tables.values())
             structure = self._structure_generation
         return structure + sum(table.generation for table in tables)
+
+    @property
+    def structure_generation(self) -> int:
+        """Monotone counter of schema changes (tables created or added)."""
+        with self._lock:
+            return self._structure_generation
 
     def create_table(
         self, name: str, columns: Sequence[str], rows: Iterable[Sequence] = ()

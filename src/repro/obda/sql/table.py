@@ -5,6 +5,13 @@ simulated by a small relational engine: named tables with named columns,
 rows as tuples of Python scalars.  It is deliberately schema-light — the
 engine exists to exercise mapping unfolding and rewriting evaluation, not
 to be a DBMS.
+
+Tables are **append-only**: :meth:`Table.insert` appends a row and bumps
+:attr:`Table.generation`, and nothing removes or replaces rows.  So a
+table's generation is also its row count, and a reader that remembers
+the generation it last saw (a *watermark*) finds everything since in
+``rows[watermark:generation]`` — the delta path of
+:class:`~repro.obda.evaluation.MappingExtents` reads just that.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ class Table:
         #: serializes inserts so the row append and its generation bump
         #: are one atomic step (readers iterate the append-only list).
         self._lock = threading.Lock()
-        #: mutation counter; virtual-extent caches key their validity on it
+        #: rows inserted so far (append-only, so also ``len(rows)`` once an
+        #: insert returns); virtual-extent caches key their validity on it
+        #: and use it as a per-table watermark
         self.generation = 0
         for row in rows:
             self.insert(row)

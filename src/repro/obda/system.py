@@ -117,12 +117,14 @@ class OBDASystem:
     * rewritings, unfoldings and certain answers are cached in bounded
       LRUs under *canonical* query keys, so alpha-equivalent queries
       (same shape, renamed variables, reordered atoms) share entries;
-    * the extent provider is shared across queries, with hash-join
-      indexes cached per predicate and invalidated by the database's
-      generation counter;
+    * the extent provider is shared across queries and by the SQL
+      path's constraint pruning, with hash-join indexes cached per
+      predicate; when the database's generation moves, extents and
+      indexes take in only the appended rows (a schema change or a
+      join-source mapping falls back to a full pull);
     * Presto's H-complete extents (:meth:`hierarchy_extents`) are one
-      provider per classification, so each ``p*`` is built once per
-      data generation whatever the query.
+      provider per classification, so each ``p*`` is built once and
+      then grows with the data, whatever the query.
 
     All caches are validated against the TBox/data generation counters
     on every use and only ever store *completed* results (a budget abort
@@ -253,6 +255,7 @@ class OBDASystem:
             if self._shared_extents is not None:
                 self._shared_extents.invalidate()
             self._hierarchy_extents = None
+            self._constraints = None
             if self._sql_backend is not None:
                 self._sql_backend.invalidate()
             if self.enable_caches:
@@ -276,7 +279,11 @@ class OBDASystem:
             stats["planner"] = dict(self.planner_stats)
         provider = self._shared_extents
         if isinstance(provider, MappingExtents):
-            stats["extents"] = {"source_pulls": provider.pulls}
+            stats["extents"] = {
+                "source_pulls": provider.pulls,
+                "delta_refreshes": provider.delta_refreshes,
+                "delta_rows": provider.delta_rows,
+            }
         with self._lock:
             backend = self._sql_backend
         if backend is not None:
@@ -317,12 +324,10 @@ class OBDASystem:
             return None
         with self._lock:
             if self._constraints is None:
-                # Bound to a raw provider of the mapped extents (for
-                # generation tracking); per-query pulls go through the
+                # Bound to the system's extent provider, so pruning reads
+                # the extents queries read; per-query pulls go through the
                 # context-wrapped view passed to relevant_inclusions.
-                self._constraints = ExtensionalConstraints(
-                    MappingExtents(self.mappings, self.database)
-                )
+                self._constraints = ExtensionalConstraints(self.extents())
             return self._constraints
 
     def last_plan_report(self) -> Optional[Dict[str, object]]:

@@ -10,6 +10,7 @@ always match a serial oracle over the final state.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -368,3 +369,86 @@ def test_hammer_presto_distinct_queries_with_inserts_agree_with_oracle():
         assert system.certain_answers(
             query, method="presto", check_consistency=False
         ) == oracle.certain_answers(query, check_consistency=False), query
+
+
+def test_hammer_readers_against_insert_many_on_mapped_sources():
+    """Readers on every extent-backed path race ``insert_many`` batches
+    into the mapped tables.  Each mid-run answer lies between what the
+    data held before the run and after it (tables only grow), and once
+    quiet every path matches a fresh cache-free system."""
+    from repro.obda.mapping import IriTemplate, MappingAssertion, MappingCollection, TargetAtom
+    from repro.obda.sql.database import Database
+
+    database = Database("hammer")
+    staff = database.create_table("staff", ["id", "role"], [(0, "prof"), (1, "lect")])
+    teaching = database.create_table("teaching", ["staff_id", "course"], [(0, "1")])
+    mappings = MappingCollection(
+        [
+            MappingAssertion(
+                f"SELECT id FROM staff WHERE role = '{role}'",
+                [TargetAtom(concept, (IriTemplate("p/{id}"),))],
+            )
+            for role, concept in (("prof", _PROFESSOR), ("lect", AtomicConcept("Lecturer")))
+        ]
+        + [
+            MappingAssertion(
+                "SELECT staff_id, course FROM teaching",
+                [
+                    TargetAtom(
+                        _TEACHES, (IriTemplate("p/{staff_id}"), IriTemplate("c/{course}"))
+                    )
+                ],
+            )
+        ]
+    )
+    tbox = TBox(
+        [
+            ConceptInclusion(_PROFESSOR, _PERSON),
+            ConceptInclusion(AtomicConcept("Lecturer"), _PERSON),
+            ConceptInclusion(ExistentialRole(_TEACHES), _PROFESSOR),
+        ],
+        name="hammer-mapped",
+    )
+    system = OBDASystem(tbox, mappings=mappings, database=database)
+    queries = [
+        "q(x) :- Person(x)",
+        "q(x) :- Professor(x), teaches(x, y)",
+        "q(x, y) :- Person(x), teaches(x, y)",
+    ]
+    paths = ("perfectref", "presto", "perfectref-sql")
+
+    def answers(target, query, path):
+        return target.certain_answers(query, method=path, check_consistency=False)
+
+    before = {(q, p): answers(system, q, p) for q in queries for p in paths}
+    seen = []
+
+    def work(index):
+        rng = random.Random(index)
+        for turn in range(15):
+            if index % 2:
+                base = 1000 * index + 10 * turn
+                staff.insert_many(
+                    [(base + i, rng.choice(("prof", "lect", "admin"))) for i in range(5)]
+                )
+                teaching.insert_many(
+                    [(rng.randrange(base + 5), str(rng.randrange(4))) for _ in range(5)]
+                )
+            else:
+                query, path = rng.choice(queries), rng.choice(paths)
+                seen.append((query, path, answers(system, query, path)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid catch-up, not between queries
+    try:
+        _run_threads(work)
+    finally:
+        sys.setswitchinterval(interval)
+    oracle = OBDASystem(tbox, mappings=mappings, database=database, enable_caches=False)
+    after = {(q, p): answers(oracle, q, p) for q in queries for p in paths}
+    for query in queries:
+        for path in paths:
+            assert answers(system, query, path) == after[(query, path)], (query, path)
+    assert seen
+    for query, path, got in seen:
+        assert before[(query, path)] <= got <= after[(query, path)], (query, path)
